@@ -49,8 +49,9 @@ bench-telemetry:
 
 # Decode-cache and parallel-trace smoke: run the cached-vs-uncached
 # takl comparison and the trace-width comparison (each fails if its
-# runs diverge), leave both JSON measurements under artifacts/ for CI
-# to upload, and exercise the per-phase microbenchmarks once.
+# runs diverge; the latter also fails if any width's median mark is
+# over 1.1x width 1's), leave both JSON measurements under artifacts/
+# for CI to upload, and exercise the per-phase microbenchmarks once.
 bench-smoke:
 	mkdir -p artifacts
 	$(GO) run ./cmd/paperbench -cache -snapshot artifacts/takl-telemetry.json

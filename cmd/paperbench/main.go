@@ -8,7 +8,8 @@
 //	-compare   §7 context: precise compacting vs conservative mark-sweep
 //	-decode    decode cost per gc-point per scheme (δ-main vs full-info)
 //	-cache     decode-cache effect on takl: table bytes read per collection
-//	-parallel  parallel trace-copy: pause phases at trace widths 1/2/4/8
+//	-parallel  parallel trace-copy: pause phases at trace widths 1/2/4/8,
+//	           failing if any width's median mark exceeds 1.1x width 1
 //	-heaplive  compile-time GC: cell reuse + root shrinking, pass off vs on
 //	-dispatch  threaded dispatch vs switch interpreter, plus the bigram profile
 //	-concurrent mostly-concurrent vs stop-the-world pause SLO at widths 1/2/4/8
@@ -354,6 +355,11 @@ func parallelTrace(w io.Writer, bench5Path string) error {
 	fmt.Fprintf(w, "outputs identical:          %v\n", r.OutputsMatch)
 	fmt.Fprintf(w, "final heap images identical:%v\n", r.HeapsMatch)
 	fmt.Fprintf(w, "mark+copy speedup (8w/1w):  %.2fx\n", r.MarkCopySpeedup)
+	fmt.Fprintf(w, "mark alone, interleaved over a separate width-1 run's heaps (gate: ≤%.2fx width 1):\n", bench.MarkRatioBound)
+	fmt.Fprintf(w, "%7s %8s %12s %7s\n", "workers", "samples", "median", "ratio")
+	for _, row := range r.Rows {
+		fmt.Fprintf(w, "%7d %8d %12v %6.3fx\n", row.Workers, row.MarkSamples, row.MarkMedian.Round(100*time.Nanosecond), row.MarkRatio)
+	}
 	if bench5Path != "" {
 		if err := writeJSON(bench5Path, r); err != nil {
 			return err
@@ -362,6 +368,9 @@ func parallelTrace(w io.Writer, bench5Path string) error {
 	}
 	if !r.OutputsMatch || !r.HeapsMatch {
 		return fmt.Errorf("trace widths diverged; parallel collection is not deterministic")
+	}
+	if !r.MarkRatioOK {
+		return fmt.Errorf("a parallel mark width is slower than %.2fx the width-1 mark", bench.MarkRatioBound)
 	}
 	fmt.Fprintln(w)
 	return nil

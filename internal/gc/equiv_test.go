@@ -3,13 +3,16 @@ package gc_test
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
 	"repro/internal/driver"
 	"repro/internal/gc"
 	"repro/internal/gctab"
+	"repro/internal/heap"
 	"repro/internal/telemetry"
+	"repro/internal/types"
 	"repro/internal/vmachine"
 )
 
@@ -27,8 +30,8 @@ var equivSchemes = []gctab.Scheme{
 }
 
 // equivTraceWidths are the trace-copy pool widths the equivalence
-// matrix compares: serial, the smallest parallel pool, and a wide one.
-var equivTraceWidths = []int{1, 2, 8}
+// matrix compares: serial, then parallel pools of 2, 4 and 8.
+var equivTraceWidths = []int{1, 2, 4, 8}
 
 // fnvWords is FNV-1a over a word image (the same digest difftest uses
 // for its cross-cell heap comparison).
@@ -174,7 +177,7 @@ func compareEquivRuns(t *testing.T, base, r equivRun) {
 
 // TestTraceWorkersEquivalence is the acceptance matrix for the parallel
 // trace-copy engine under the full collector: for every encoding scheme,
-// a four-thread churn run at TraceWorkers 1, 2, and 8 must be
+// a four-thread churn run at TraceWorkers 1, 2, 4 and 8 must be
 // indistinguishable collection by collection — same frame lists, same
 // post-cycle heap digests (which subsumes every forwarding decision),
 // same survivor counts, same cumulative copy totals, and the same final
@@ -196,4 +199,154 @@ func TestTraceWorkersEquivalence(t *testing.T) {
 			}
 		})
 	}
+	// The churn program's heaps are short lists; the engine's serial
+	// cut-over and its work sharing also need the heap shapes that
+	// have hidden bugs, on both sides of the cut-over.
+	// The last case is a DAG of 4-word nodes whose live set exceeds the
+	// inline-copy cut, so copy and fixup split across workers too.
+	type shapeCase struct {
+		shape int
+		n     int
+	}
+	var cases []shapeCase
+	for i := range equivShapes {
+		cases = append(cases, shapeCase{i, gc.ForkGray - 1}, shapeCase{i, gc.ForkGray + 1})
+	}
+	cases = append(cases, shapeCase{len(equivShapes) - 1, gc.InlineCopyWords/4 + 1})
+	for _, c := range cases {
+		shape := equivShapes[c.shape]
+		t.Run(fmt.Sprintf("%s/%d", shape.name, c.n), func(t *testing.T) {
+			// Pin the scheduler wide enough that every width really
+			// runs that many workers.
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(equivTraceWidths[len(equivTraceWidths)-1]))
+			base := runShapeCell(t, shape.build, c.n, equivTraceWidths[0])
+			for _, tw := range equivTraceWidths[1:] {
+				r := runShapeCell(t, shape.build, c.n, tw)
+				if !reflect.DeepEqual(r, base) {
+					t.Errorf("tw=%d diverged from tw=%d:\n  %+v\nwant\n  %+v", tw, equivTraceWidths[0], r, base)
+				}
+			}
+		})
+	}
+}
+
+// Shape heaps hold two object kinds: a node (value word, then left
+// and right pointers) and a fan (an open array of pointers).
+const (
+	shapeNode = 0
+	shapeFan  = 1
+)
+
+// equivShapes are the heap shapes the width matrix marks. Each builder
+// allocates a live set of at least n objects, with garbage interleaved
+// so that survivors are not already compact, and returns the root. The
+// widest gray set is n for the fans and 1 for the chain.
+var equivShapes = []struct {
+	name  string
+	build func(h *heap.Heap, n int) int64
+}{
+	// chain: a singly linked list; the gray set never grows past one.
+	{"chain", func(h *heap.Heap, n int) int64 {
+		var head int64
+		for i := 0; i < n; i++ {
+			head = shapeAlloc(h, int64(i), head, 0)
+			shapeAlloc(h, -1, 0, 0)
+		}
+		return head
+	}},
+	// wide-tree: one fan of n nodes, every fourth with a child, so
+	// scanning the root alone makes the gray set n wide.
+	{"wide-tree", func(h *heap.Heap, n int) int64 {
+		fan, _ := h.TryAlloc(shapeFan, int64(n))
+		for i := 0; i < n; i++ {
+			var child int64
+			if i%4 == 0 {
+				child = shapeAlloc(h, int64(-i), 0, 0)
+			}
+			shapeAlloc(h, -1, 0, 0)
+			h.Mem[fan+2+int64(i)] = shapeAlloc(h, int64(i), child, 0)
+		}
+		return fan
+	}},
+	// dag: a fan over n nodes whose edges share targets, so most
+	// objects are discovered several times over and claims race.
+	{"dag", func(h *heap.Heap, n int) int64 {
+		nodes := make([]int64, n)
+		for i := range nodes {
+			nodes[i] = shapeAlloc(h, int64(i), 0, 0)
+			shapeAlloc(h, -1, 0, 0)
+		}
+		for i, a := range nodes {
+			h.Mem[a+2] = nodes[(i*7+3)%n]
+			h.Mem[a+3] = nodes[(i+1)%n]
+		}
+		fan, _ := h.TryAlloc(shapeFan, int64(n))
+		for i := range nodes {
+			h.Mem[fan+2+int64(i)] = nodes[n-1-i]
+		}
+		return fan
+	}},
+}
+
+// shapeAlloc allocates one node.
+func shapeAlloc(h *heap.Heap, val, left, right int64) int64 {
+	a, ok := h.TryAlloc(shapeNode, 0)
+	if !ok {
+		panic("shape heap too small")
+	}
+	h.Mem[a+1], h.Mem[a+2], h.Mem[a+3] = val, left, right
+	return a
+}
+
+// shapeRun is what one width observed over a shape's collections.
+type shapeRun struct {
+	Marked  []uint64 // digest of the marked from-space addresses
+	Hashes  []uint64 // FNV-1a of the whole heap after each collection
+	Objects []int64
+	Words   []int64
+	GCs     int64
+}
+
+// runShapeCell builds the shape and collects three times at width tw:
+// once as built, once after the root's first pointer field is cut, and
+// once more with nothing changed, so survivors move twice.
+func runShapeCell(t *testing.T, build func(*heap.Heap, int) int64, n, tw int) shapeRun {
+	t.Helper()
+	dt := types.NewDescTable()
+	dt.Descs = append(dt.Descs,
+		&types.Desc{ID: shapeNode, Kind: types.DescRecord, Name: "Node", DataWords: 3, PtrOffsets: []int64{1, 2}},
+		&types.Desc{ID: shapeFan, Kind: types.DescOpenArray, Name: "Fan", ElemWords: 1, ElemPtrOffsets: []int64{0}},
+	)
+	words := int64(16 * (n + 64))
+	mem := make([]int64, 16+2*words)
+	h := heap.New(mem, 16, int64(len(mem)), dt)
+	root := build(h, n)
+	var r shapeRun
+	for k := 0; k < 3; k++ {
+		if k == 1 {
+			h.Mem[root+2] = 0
+		}
+		lo, hi := h.FromSpan()
+		marks := heap.NewMarkSet(lo, hi)
+		st, err := gc.TraceCopy([]*int64{&root}, gc.CopySpace{
+			Mem: mem, SpanLo: lo, SpanHi: hi,
+			InFrom: h.Contains, SizeOf: h.SizeOf, PtrOffsets: h.PointerOffsets,
+			Copy: h.CopyObjectSized, ToBase: h.BeginCollection(), Marks: marks,
+		}, tw)
+		if err != nil {
+			t.Fatalf("tw=%d collection %d: %v", tw, k, err)
+		}
+		marked := marks.AppendMarked(nil)
+		h.AddCopied(st.Objects)
+		h.FinishCollection(st.Next)
+		if err := h.Check(); err != nil {
+			t.Fatalf("tw=%d collection %d: %v", tw, k, err)
+		}
+		r.Marked = append(r.Marked, fnvWords(marked))
+		r.Hashes = append(r.Hashes, fnvWords(mem))
+		r.Objects = append(r.Objects, st.Objects)
+		r.Words = append(r.Words, st.Words)
+	}
+	r.GCs = h.Collections
+	return r
 }

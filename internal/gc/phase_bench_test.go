@@ -69,8 +69,9 @@ func buildBenchWorld(tb testing.TB) *benchWorld {
 
 func benchWidths() []int { return []int{1, 2, 4, 8} }
 
-// BenchmarkMarkPhase times the parallel graph traversal (work-stealing
-// deques + atomic claim bitmap) over the synthetic 20k-object world.
+// BenchmarkMarkPhase times the graph traversal (serial until the gray
+// stack is wide, then private stacks sharing through a pool, over the
+// claim bitmap) on the synthetic 20k-object world.
 func BenchmarkMarkPhase(b *testing.B) {
 	w := buildBenchWorld(b)
 	roots := []*int64{&w.root}
@@ -79,13 +80,9 @@ func BenchmarkMarkPhase(b *testing.B) {
 			b.SetBytes(4 * benchObjs * heap.WordBytes)
 			for i := 0; i < b.N; i++ {
 				w.sp.Marks.Reset(w.sp.SpanLo, w.sp.SpanHi)
-				lists, _, err := markPhase(roots, w.sp, workers)
+				n, _, err := markPhase(roots, w.sp, workers)
 				if err != nil {
 					b.Fatal(err)
-				}
-				n := 0
-				for _, l := range lists {
-					n += len(l)
 				}
 				if n != benchObjs {
 					b.Fatalf("marked %d objects, want %d", n, benchObjs)
@@ -95,19 +92,18 @@ func BenchmarkMarkPhase(b *testing.B) {
 	}
 }
 
-// BenchmarkAssignPhase times the determinism keystone: concatenating
-// the per-worker marked lists, sorting into allocation order, and
-// laying out to-space by prefix sums. Always serial.
+// BenchmarkAssignPhase times the determinism keystone: reading the
+// marked set back from the claim bitmap in allocation order and laying
+// out to-space by prefix sums. Always serial.
 func BenchmarkAssignPhase(b *testing.B) {
 	w := buildBenchWorld(b)
 	w.sp.Marks.Reset(w.sp.SpanLo, w.sp.SpanHi)
-	lists, _, err := markPhase([]*int64{&w.root}, w.sp, 8)
-	if err != nil {
+	if _, _, err := markPhase([]*int64{&w.root}, w.sp, 8); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		plan := assignPhase(lists, w.sp)
+		plan := assignPhase([][]int64{w.sp.Marks.AppendMarked(nil)}, w.sp)
 		if len(plan.from) != benchObjs {
 			b.Fatalf("planned %d objects, want %d", len(plan.from), benchObjs)
 		}
@@ -120,11 +116,10 @@ func BenchmarkAssignPhase(b *testing.B) {
 func BenchmarkCopyPhase(b *testing.B) {
 	w := buildBenchWorld(b)
 	w.sp.Marks.Reset(w.sp.SpanLo, w.sp.SpanHi)
-	lists, _, err := markPhase([]*int64{&w.root}, w.sp, 8)
-	if err != nil {
+	if _, _, err := markPhase([]*int64{&w.root}, w.sp, 8); err != nil {
 		b.Fatal(err)
 	}
-	plan := assignPhase(lists, w.sp)
+	plan := assignPhase([][]int64{w.sp.Marks.AppendMarked(nil)}, w.sp)
 	headers := make([]int64, len(plan.from))
 	for i, a := range plan.from {
 		headers[i] = w.sp.Mem[a]

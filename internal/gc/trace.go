@@ -7,18 +7,26 @@
 // on the *set* of reachable objects, never on the order they were
 // found:
 //
-//	mark    parallel graph traversal over per-worker work-stealing
-//	        deques of gray objects; an atomic bitmap (heap.MarkSet)
-//	        ensures each object is claimed exactly once
-//	assign  the marked addresses are sorted ascending (= allocation
-//	        order) and prefix sums of their sizes assign each object
-//	        the exact to-space address a serial allocation-order
-//	        compaction would choose
+//	mark    graph traversal that starts serially on the caller and
+//	        forks helpers only once its gray stack is wide enough to
+//	        pay for them; each worker keeps a private, lock-free gray
+//	        stack and hands half of it to a shared pool only when
+//	        another worker is starving; an atomic bitmap
+//	        (heap.MarkSet) ensures each object is claimed exactly once
+//	assign  the marked addresses are read back from the bitmap in
+//	        ascending (= allocation) order and prefix sums of their
+//	        sizes assign each object the exact to-space address a
+//	        serial allocation-order compaction would choose
 //	copy    workers copy disjoint address ranges and install
-//	        forwarding words (disjoint objects → no shared writes)
+//	        forwarding words (disjoint objects → no shared writes);
+//	        small plans run inline on the caller
 //	fixup   workers rewrite the pointer fields of their to-space
 //	        copies through the forwarding words; root slots are
 //	        patched serially (they may alias across frames)
+//
+// Widths above GOMAXPROCS are clamped to it: workers that can never
+// run at once only add hand-offs. A width that marks slower than
+// width 1 is a bug; paperbench -parallel gates on it.
 //
 // Because placement is canonical, a collection at any worker count —
 // including 1 — produces an identical heap image, identical forwarding
@@ -116,18 +124,43 @@ func TraceCopy(roots []*int64, sp CopySpace, workers int) (TraceStats, error) {
 		workers = 1
 	}
 
+	if sp.Marks == nil {
+		sp.Marks = heap.NewMarkSet(sp.SpanLo, sp.SpanHi)
+	}
+
 	t0 := time.Now()
-	markedLists, steals, err := markPhase(roots, sp, workers)
+	n, steals, err := markPhase(roots, sp, workers)
 	st.Mark = time.Since(t0)
 	st.Steals = steals
 	if err != nil {
 		return st, err
 	}
 
-	fin, err := FinishCopy(markedLists, roots, sp, workers)
+	// The claim bitmap holds exactly the marked set, and reading it
+	// back in address order is the sort assign would otherwise do, at
+	// the cost per span word that clearing the bitmap already pays.
+	t0 = time.Now()
+	marked := sp.Marks.AppendMarked(make([]int64, 0, n))
+	enum := time.Since(t0)
+
+	fin, err := FinishCopy([][]int64{marked}, roots, sp, workers)
 	st.Objects, st.Words, st.Next = fin.Objects, fin.Words, fin.Next
-	st.Assign, st.Copy, st.Fixup = fin.Assign, fin.Copy, fin.Fixup
+	st.Assign, st.Copy, st.Fixup = enum+fin.Assign, fin.Copy, fin.Fixup
 	return st, err
+}
+
+// MarkOnly runs TraceCopy's mark phase alone: it reads the heap and
+// fills sp.Marks (which must be non-nil and Reset to [SpanLo, SpanHi))
+// but moves nothing, so one heap can be marked, and timed, any number
+// of times. Only Objects, Mark and Steals are set in the returned
+// stats.
+func MarkOnly(roots []*int64, sp CopySpace, workers int) (TraceStats, error) {
+	if workers <= 0 {
+		workers = DefaultTraceWorkers
+	}
+	t0 := time.Now()
+	n, steals, err := markPhase(roots, sp, workers)
+	return TraceStats{Objects: n, Mark: time.Since(t0), Steals: steals}, err
 }
 
 // FinishCopy runs the deterministic tail of a collection — assign,
@@ -231,7 +264,9 @@ func assignPhase(markedLists [][]int64, sp CopySpace) copyPlan {
 	for _, l := range markedLists {
 		plan.from = append(plan.from, l...)
 	}
-	slices.Sort(plan.from)
+	if !slices.IsSorted(plan.from) {
+		slices.Sort(plan.from)
+	}
 	for i, a := range plan.from {
 		s := sp.SizeOf(a)
 		plan.size[i] = s
@@ -242,28 +277,27 @@ func assignPhase(markedLists [][]int64, sp CopySpace) copyPlan {
 }
 
 // runChunks partitions the plan into at most `workers` contiguous
-// index ranges balanced by copied words and runs fn over them, inline
-// when one worker suffices. The partition is a pure function of the
-// plan, but fn must be order-independent anyway: chunks run
-// concurrently.
+// index ranges balanced by copied words and runs fn over them. The
+// caller runs the last range itself, and all of them when one worker
+// suffices or the plan is under inlineCopyWords. The partition is a
+// pure function of the plan, but fn must be order-independent anyway:
+// chunks run concurrently.
 func runChunks(plan copyPlan, workers int, fn func(lo, hi int)) {
 	n := len(plan.from)
 	if n == 0 {
 		return
 	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
+	workers = min(workers, n, runtime.GOMAXPROCS(0))
+	if workers <= 1 || plan.total < inlineCopyWords {
 		fn(0, n)
 		return
 	}
 	target := (plan.total + int64(workers) - 1) / int64(workers)
 	var wg sync.WaitGroup
 	lo, acc := 0, int64(0)
-	for i := 0; i < n; i++ {
+	for i := 0; i < n-1; i++ {
 		acc += plan.size[i]
-		if acc >= target || i == n-1 {
+		if acc >= target {
 			wg.Add(1)
 			go func(lo, hi int) {
 				defer wg.Done()
@@ -272,133 +306,223 @@ func runChunks(plan copyPlan, workers int, fn func(lo, hi int)) {
 			lo, acc = i+1, 0
 		}
 	}
+	fn(lo, n)
 	wg.Wait()
 }
 
-// markWorker is one participant in the parallel mark: a mutex-guarded
-// deque of gray objects (owner pushes and pops the young end; thieves
-// take the old half) plus the worker's share of the marked set.
+// Mark-engine thresholds. They are fixed, not options; the comments
+// give the measurements behind them (2-vCPU KVM guest, GOMAXPROCS=2).
+const (
+	// forkGray is the gray-stack depth past which the caller's serial
+	// mark starts its helpers. Forking at a depth of 256 on the phase
+	// benchmark's 20k-object tree, whose gray stack peaks at 1.6k
+	// objects, measured 1.1–1.4× the serial mark at widths 2–8: the
+	// hand-offs and the shared claim bitmap cost more than a frontier
+	// that narrow returns. A stack above 4096 is at least ~200 µs of
+	// serial scanning (that tree marks at 50–75 ns an object), room
+	// for the helpers to pay their way. Chain-shaped heaps, whose gray
+	// set never grows, always mark serially.
+	forkGray = 4096
+	// shareMin is the smallest private stack that gives half of itself
+	// to a starving worker. Smaller stacks on a narrow frontier would
+	// hand single objects back and forth at a lock round-trip each.
+	shareMin = 8
+	// spinPolls bounds how many times an idle helper yields and re-polls
+	// the pool before it parks. A goroutine started while the other
+	// vCPU idles took a median 1.8 ms (p10 0.7 ms) to run on the
+	// reference host, longer than most whole marks, so idle workers
+	// spin briefly before parking and the caller never parks at all.
+	spinPolls = 64
+	// inlineCopyWords is the plan size (in copied words) below which
+	// runChunks runs copy and fixup inline on the caller. Timed alone,
+	// with the other vCPU left idle between runs as it is between real
+	// collections, the copy of BenchmarkCopyPhase's records took 46 vs.
+	// 64 µs (serial vs. two chunks) at 16k words, 133 vs. 140 µs at 40k
+	// and 259 vs. 238 µs at 80k. But a split also leaves half the
+	// survivors in the other CPU's cache for the next collection's
+	// mark: with the cut at 64k words, the perfbench collect workload's
+	// traced mark ran 1.15× its width-1 time, and fixup saved less than
+	// that. With the cut at 256k, mark and collection totals match
+	// width 1.
+	inlineCopyWords = 1 << 18
+)
+
+// markWorker is one participant in the mark: a private gray stack that
+// only its owner touches (no lock), plus a count of what it claimed.
 type markWorker struct {
-	mu     sync.Mutex
-	deque  []int64
-	marked []int64
+	e      *markEngine
+	gray   []int64
+	offs   []int64
+	marked int64
 	steals int64
 	err    error
 }
 
-func (w *markWorker) push(a int64) {
-	w.mu.Lock()
-	w.deque = append(w.deque, a)
-	w.mu.Unlock()
-}
-
-func (w *markWorker) pop() (int64, bool) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	n := len(w.deque)
-	if n == 0 {
-		return 0, false
-	}
-	a := w.deque[n-1]
-	w.deque = w.deque[:n-1]
-	return a, true
-}
-
-// stealHalf moves the older half of w's deque into the thief's.
-func (w *markWorker) stealHalf(thief *markWorker) bool {
-	w.mu.Lock()
-	n := len(w.deque)
-	if n == 0 {
-		w.mu.Unlock()
-		return false
-	}
-	take := (n + 1) / 2
-	stolen := make([]int64, take)
-	copy(stolen, w.deque[:take])
-	w.deque = append(w.deque[:0], w.deque[take:]...)
-	w.mu.Unlock()
-	thief.mu.Lock()
-	thief.deque = append(thief.deque, stolen...)
-	thief.mu.Unlock()
-	return true
-}
-
-// markEngine coordinates the mark workers: pending counts claimed but
-// not yet scanned objects, so all deques are empty exactly when it
-// reaches zero.
-type markEngine struct {
-	sp      CopySpace
-	marks   *heap.MarkSet
-	workers []*markWorker
-	pending atomic.Int64
-}
-
-func (e *markEngine) steal(id int) bool {
-	w := e.workers[id]
-	for i := 1; i < len(e.workers); i++ {
-		victim := e.workers[(id+i)%len(e.workers)]
-		if victim.stealHalf(w) {
-			w.steals++
-			return true
-		}
-	}
-	return false
-}
-
-func (e *markEngine) run(id int) {
-	w := e.workers[id]
-	var offs []int64
-	for {
-		a, ok := w.pop()
-		if !ok && len(e.workers) > 1 && e.steal(id) {
-			a, ok = w.pop()
-		}
-		if !ok {
-			if e.pending.Load() == 0 {
-				return
-			}
-			runtime.Gosched()
+// scan blackens a: every unclaimed from-space child is claimed,
+// counted and pushed gray.
+func (w *markWorker) scan(a int64) {
+	sp := &w.e.sp
+	w.offs = sp.PtrOffsets(a, w.offs[:0])
+	for _, off := range w.offs {
+		v := sp.Mem[a+off]
+		if v == 0 {
 			continue
 		}
-		offs = e.sp.PtrOffsets(a, offs[:0])
-		for _, off := range offs {
-			v := e.sp.Mem[a+off]
-			if v == 0 {
+		if sp.Check != nil {
+			if err := sp.Check(v); err != nil {
+				if w.err == nil {
+					w.err = err
+				}
 				continue
 			}
-			if e.sp.Check != nil {
-				if err := e.sp.Check(v); err != nil {
-					if w.err == nil {
-						w.err = err
-					}
-					continue
-				}
-			}
-			if e.sp.InFrom(v) && e.marks.Claim(v) {
-				w.marked = append(w.marked, v)
-				w.push(v)
-				e.pending.Add(1)
-			}
 		}
-		e.pending.Add(-1)
+		if sp.InFrom(v) && sp.Marks.Claim(v) {
+			w.marked++
+			w.gray = append(w.gray, v)
+		}
 	}
 }
 
-// markPhase computes the live set: root values seed the per-worker
-// deques round-robin, then the workers trace (stealing from each other
-// when their own deque drains) until no gray objects remain anywhere.
-func markPhase(roots []*int64, sp CopySpace, workers int) ([][]int64, int64, error) {
-	marks := sp.Marks
-	if marks == nil {
-		marks = heap.NewMarkSet(sp.SpanLo, sp.SpanHi)
+// drain scans the private stack empty, giving the older half of it —
+// the objects nearest the roots, so usually the largest subgraphs — to
+// the pool whenever more workers are starving than batches wait there.
+// The caller (worker 0, passing the pool width) also starts the
+// helpers from here, once its stack outgrows forkGray; helpers pass 0.
+func (w *markWorker) drain(workers int) {
+	e := w.e
+	for len(w.gray) > 0 {
+		n := len(w.gray) - 1
+		a := w.gray[n]
+		w.gray = w.gray[:n]
+		w.scan(a)
+		if len(w.gray) < shareMin {
+			continue
+		}
+		if workers > 1 && len(w.gray) > forkGray && len(e.workers) < workers {
+			e.fork(workers)
+		}
+		if e.pool.hungry.Load() > e.pool.avail.Load() {
+			k := len(w.gray) / 2
+			e.pool.put(slices.Clone(w.gray[:k]))
+			w.gray = append(w.gray[:0], w.gray[k:]...)
+		}
 	}
-	e := &markEngine{sp: sp, marks: marks, workers: make([]*markWorker, workers)}
-	for i := range e.workers {
-		e.workers[i] = &markWorker{}
+}
+
+// markPool is the only state mark workers share besides the claim
+// bitmap: batches of gray objects published by busy workers, and a
+// count of the workers holding private work. There is no per-object
+// counter: marking is over exactly when no worker holds work and no
+// batch is left, so a worker takes the pool's lock once per batch it
+// publishes or takes, never per object.
+type markPool struct {
+	mu      sync.Mutex
+	cond    sync.Cond
+	batches [][]int64
+	busy    int // workers holding private work; the caller starts busy
+	// Lock-free mirrors polled by busy and spinning workers.
+	hungry atomic.Int32 // workers looking for a batch
+	avail  atomic.Int32 // len(batches)
+	done   atomic.Bool
+}
+
+func (p *markPool) put(b []int64) {
+	p.mu.Lock()
+	p.batches = append(p.batches, b)
+	p.avail.Store(int32(len(p.batches)))
+	p.mu.Unlock()
+	p.cond.Signal()
+}
+
+// get is called by a worker whose private stack is empty; wasBusy says
+// whether it was holding work (the caller always was; a helper only
+// after its first batch). It returns the next batch, or ok=false once
+// marking is complete. The caller passes park=false: it spins until
+// the end rather than risk a slow wake-up inside the pause.
+func (p *markPool) get(wasBusy, park bool) ([]int64, bool) {
+	p.hungry.Add(1)
+	defer p.hungry.Add(-1)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if wasBusy {
+		p.busy--
 	}
-	// Seed: claim the root-reachable objects up front (serially, so a
-	// bad root is reported deterministically) and deal them out.
-	seeded := 0
+	for spins := 0; ; spins++ {
+		if n := len(p.batches); n > 0 {
+			b := p.batches[n-1]
+			p.batches = p.batches[:n-1]
+			p.avail.Store(int32(n - 1))
+			p.busy++
+			return b, true
+		}
+		if p.busy == 0 {
+			p.done.Store(true)
+			p.cond.Broadcast()
+		}
+		if p.done.Load() {
+			return nil, false
+		}
+		if park && spins >= spinPolls {
+			p.cond.Wait()
+			continue
+		}
+		p.mu.Unlock()
+		for p.avail.Load() == 0 && !p.done.Load() && (!park || spins < spinPolls) {
+			runtime.Gosched()
+			spins++
+		}
+		p.mu.Lock()
+	}
+}
+
+// markEngine holds what every mark worker reads: the space (with its
+// claim bitmap) and the pool.
+type markEngine struct {
+	sp      CopySpace
+	workers []*markWorker
+	pool    markPool
+}
+
+// fork starts the helpers. They begin hungry and take work only as the
+// busy workers publish it, so a helper the scheduler is slow to run
+// costs nobody a wait: if marking ends first, it finds the pool done
+// and exits without ever touching the heap.
+func (e *markEngine) fork(workers int) {
+	e.pool.cond.L = &e.pool.mu
+	e.pool.busy = 1
+	for len(e.workers) < workers {
+		w := &markWorker{e: e}
+		e.workers = append(e.workers, w)
+		go func() {
+			busy := false
+			for {
+				b, ok := e.pool.get(busy, true)
+				if !ok {
+					return
+				}
+				busy = true
+				w.steals++
+				w.gray = append(w.gray, b...)
+				w.drain(0)
+			}
+		}()
+	}
+}
+
+// markPhase claims the live set in sp.Marks (already Reset) and
+// returns how many objects it claimed. The root values are claimed
+// serially (so a bad root is reported deterministically), then the
+// caller marks alone on its own goroutine. Only if its gray stack
+// outgrows forkGray — a live set wide enough to pay for parallelism —
+// does it start the other workers, which then share work through the
+// pool until none is left anywhere.
+func markPhase(roots []*int64, sp CopySpace, workers int) (marked, steals int64, err error) {
+	// Workers beyond the scheduler's width could never run at once;
+	// they would only add hand-offs.
+	workers = min(workers, runtime.GOMAXPROCS(0))
+	e := &markEngine{sp: sp}
+	lead := &markWorker{e: e}
+	e.workers = []*markWorker{lead}
 	for _, p := range roots {
 		v := *p
 		if v == 0 {
@@ -406,41 +530,35 @@ func markPhase(roots []*int64, sp CopySpace, workers int) ([][]int64, int64, err
 		}
 		if sp.Check != nil {
 			if err := sp.Check(v); err != nil {
-				return nil, 0, err
+				return 0, 0, err
 			}
 		}
-		if sp.InFrom(v) && marks.Claim(v) {
-			w := e.workers[seeded%workers]
-			w.deque = append(w.deque, v)
-			w.marked = append(w.marked, v)
-			seeded++
+		if sp.InFrom(v) && sp.Marks.Claim(v) {
+			lead.gray = append(lead.gray, v)
+			lead.marked++
 		}
 	}
-	e.pending.Store(int64(seeded))
 
-	if workers <= 1 {
-		e.run(0)
-	} else {
-		var wg sync.WaitGroup
-		for id := 0; id < workers; id++ {
-			wg.Add(1)
-			go func(id int) {
-				defer wg.Done()
-				e.run(id)
-			}(id)
+	lead.drain(workers)
+	for len(e.workers) > 1 {
+		b, ok := e.pool.get(true, false)
+		if !ok {
+			break
 		}
-		wg.Wait()
+		lead.steals++
+		lead.gray = append(lead.gray, b...)
+		lead.drain(workers)
 	}
 
-	lists := make([][]int64, workers)
-	var steals int64
-	var firstErr error
-	for i, w := range e.workers {
-		lists[i] = w.marked
+	// Every worker that ever held work is idle and its last claim is
+	// ordered before done by the pool's lock; helpers that never got
+	// work never counted anything.
+	for _, w := range e.workers {
+		marked += w.marked
 		steals += w.steals
-		if firstErr == nil && w.err != nil {
-			firstErr = w.err
+		if err == nil {
+			err = w.err
 		}
 	}
-	return lists, steals, firstErr
+	return marked, steals, err
 }

@@ -271,11 +271,7 @@ func (c *Collector) FinishCycle(m *vmachine.Machine) error {
 	c.AssignTime += st.Assign
 	c.CopyTime += st.Copy
 	c.FixupTime += st.Fixup
-	h.oldFrom, h.oldTo = h.oldTo, h.oldFrom
-	h.oldAlloc = st.Next
-	for w := h.oldTo; w < h.oldTo+h.oldSemi; w++ {
-		h.Mem[w] = 0
-	}
+	h.flipOld(st.Next)
 	h.resetNursery()
 	// Same reasoning as major(): every old-from slot just moved and the
 	// nursery is empty, so no old→young pointer exists; the set is

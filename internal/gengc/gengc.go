@@ -140,9 +140,6 @@ func (h *Heap) allocOld(descID int, n, size int64) (int64, bool) {
 	addr := h.oldAlloc
 	h.oldAlloc += size
 	h.OldAllocated += size
-	for w := addr; w < addr+size; w++ {
-		h.Mem[w] = 0
-	}
 	h.initObject(addr, descID, n)
 	return addr, true
 }
@@ -164,10 +161,19 @@ func (h *Heap) copyObjectSized(addr, to, size int64) {
 
 // resetNursery zeroes and empties the nursery after a collection.
 func (h *Heap) resetNursery() {
-	for w := h.Lo; w < h.nurseryAlloc; w++ {
-		h.Mem[w] = 0
-	}
+	clear(h.Mem[h.Lo:h.nurseryAlloc])
 	h.nurseryAlloc = h.Lo
+}
+
+// flipOld makes the copy target, filled up to next, the old space. The
+// old space being vacated becomes the next copy target; it was written
+// only below its pre-flip oldAlloc, so clearing that much restores the
+// invariant every old-space allocation relies on: the copy target is
+// all zero, and so is the old space above oldAlloc.
+func (h *Heap) flipOld(next int64) {
+	clear(h.Mem[h.oldFrom:h.oldAlloc])
+	h.oldFrom, h.oldTo = h.oldTo, h.oldFrom
+	h.oldAlloc = next
 }
 
 // PointerOffsets appends the pointer-field offsets of the object at
@@ -556,12 +562,7 @@ func (c *Collector) major(m *vmachine.Machine, frames []*gc.Frame) (gc.TraceStat
 		return st, err
 	}
 	c.MajorCopied += st.Words
-	// Flip the old semispaces and zero the new copy target.
-	h.oldFrom, h.oldTo = h.oldTo, h.oldFrom
-	h.oldAlloc = st.Next
-	for w := h.oldTo; w < h.oldTo+h.oldSemi; w++ {
-		h.Mem[w] = 0
-	}
+	h.flipOld(st.Next)
 	h.resetNursery()
 	// The remembered set held old-FROM-space slot addresses, all of
 	// which just moved; stale entries must not survive the compaction.

@@ -344,6 +344,37 @@ END T.
 	t.Logf("minor=%d major=%d promoted=%d", st.minor, st.major, st.promoted)
 }
 
+// TestPretenuredMemoryIsZeroAcrossMajors: pretenured arrays are
+// allocated straight into the old space with no zeroing of their own,
+// so they rely on the major flip having cleared what the vacated old
+// space held. Every round fills a fresh array only after summing it,
+// and arrays pile up until majors flip the old space back and forth
+// over memory earlier rounds dirtied; any stale word shows in the sum.
+func TestPretenuredMemoryIsZeroAcrossMajors(t *testing.T) {
+	out, st := runGen(t, `
+MODULE T;
+TYPE V = REF ARRAY OF INTEGER;
+TYPE L = REF RECORD v: INTEGER; next: L; END;
+VAR a: V; junk: L; i, k, s: INTEGER;
+BEGIN
+  s := 0;
+  FOR k := 1 TO 40 DO
+    a := NEW(V, 300);      (* bigger than half the 512-word nursery *)
+    FOR i := 0 TO 299 DO s := s + a[i]; a[i] := k; END;
+    FOR i := 1 TO 200 DO junk := NEW(L); junk.v := i; END;
+  END;
+  PutInt(s); PutLn();
+END T.
+`, 4096)
+	if out != "0\n" {
+		t.Errorf("output %q: a fresh array held stale words", out)
+	}
+	if st.major < 2 {
+		t.Errorf("%d major collections; the old space never flipped back", st.major)
+	}
+	t.Logf("minor=%d major=%d", st.minor, st.major)
+}
+
 // TestGenerationalUnderStress collects at every allocation point under
 // the generational collector.
 func TestGenerationalUnderStress(t *testing.T) {

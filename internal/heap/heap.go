@@ -14,6 +14,7 @@ package heap
 
 import (
 	"fmt"
+	"math/bits"
 	"sync/atomic"
 
 	"repro/internal/types"
@@ -32,6 +33,11 @@ type Heap struct {
 	ToLo   int64 // copy space base
 	Alloc  int64 // bump pointer
 	Limit  int64
+
+	// toDirty bounds the words ever written in the copy space: every
+	// word of [toDirty, ToLo+quota) is zero. The copy space was last the
+	// allocation space, so its bound is that space's pre-flip Alloc.
+	toDirty int64
 
 	// Collections counts completed garbage collections.
 	Collections int64
@@ -52,7 +58,8 @@ type Heap struct {
 const WordBytes = 8
 
 // New creates a heap over mem[lo:hi). The region is split into two
-// semispaces.
+// semispaces. mem[lo:hi) must be zero (as make returns it): the heap
+// only ever clears words it has dirtied itself.
 func New(mem []int64, lo, hi int64, descs *types.DescTable) *Heap {
 	return NewQuota(mem, lo, hi, descs, 0)
 }
@@ -73,6 +80,7 @@ func NewQuota(mem []int64, lo, hi int64, descs *types.DescTable, quotaWords int6
 	h.ToLo = lo + h.semi
 	h.Alloc = h.FromLo
 	h.Limit = h.FromLo + h.quota
+	h.toDirty = h.ToLo
 	return h
 }
 
@@ -275,9 +283,7 @@ func (s *MarkSet) Reset(lo, hi int64) {
 		s.bits = make([]uint64, n)
 	} else {
 		s.bits = s.bits[:n]
-		for i := range s.bits {
-			s.bits[i] = 0
-		}
+		clear(s.bits)
 	}
 	s.lo = lo
 }
@@ -305,16 +311,35 @@ func (s *MarkSet) Marked(addr int64) bool {
 	return atomic.LoadUint64(&s.bits[i>>6])&(1<<(i&63)) != 0
 }
 
+// AppendMarked appends every claimed address to out in ascending
+// order, at a cost of one word read per 64 words of span plus one step
+// per claimed address. It must not race with Claim.
+func (s *MarkSet) AppendMarked(out []int64) []int64 {
+	for i, w := range s.bits {
+		base := s.lo + int64(i)*64
+		for w != 0 {
+			out = append(out, base+int64(bits.TrailingZeros64(w)))
+			w &= w - 1
+		}
+	}
+	return out
+}
+
 // FinishCollection flips semispaces: the copy space (filled up to
-// copyEnd) becomes the allocation space, and the remainder is zeroed so
-// future allocations see fresh memory.
+// copyEnd) becomes the allocation space. Only its dirty remainder,
+// [copyEnd, toDirty), is cleared, so allocations see zeroed memory at
+// a cost bounded by what the space last held rather than by its size.
+// The old allocation space becomes the copy space, dirty up to its
+// pre-flip Alloc.
 func (h *Heap) FinishCollection(copyEnd int64) {
+	dirty := h.Alloc
 	h.FromLo, h.ToLo = h.ToLo, h.FromLo
 	h.Alloc = copyEnd
 	h.Limit = h.FromLo + h.quota
-	for i := h.Alloc; i < h.Limit; i++ {
-		h.Mem[i] = 0
+	if copyEnd < h.toDirty {
+		clear(h.Mem[copyEnd:h.toDirty])
 	}
+	h.toDirty = dirty
 	h.Collections++
 	h.LiveObjects = h.copiedObjects
 	h.copiedObjects = 0

@@ -117,6 +117,63 @@ func TestCopyAndForward(t *testing.T) {
 	}
 }
 
+// TestFlipLeavesFreeSpaceZeroed drives many flips through both
+// semispaces and checks the zeroed-memory contract after every one:
+// every word of [Alloc, Limit) is zero. The schedule dirties a copy
+// space far past where the next, smaller copy ends (a large live set,
+// then small ones), and follows a full allocation space with a nearly
+// empty one, so a flip that skipped the clear, or bounded it by the
+// other semispace's high-water mark, leaves stale words behind.
+func TestFlipLeavesFreeSpaceZeroed(t *testing.T) {
+	type cycle struct{ alloc, live int } // alloc < 0: until full
+	schedule := []cycle{
+		{-1, 40}, // copy space now holds a large live set
+		{-1, 2},  // ... and then a small one, far below that
+		{1, 2},   // nearly empty allocation space, small copy
+		{1, 1},
+		{-1, 0},
+		{3, 3},
+		{-1, 25},
+		{0, 0},
+		{-1, 1},
+	}
+	for _, quota := range []int64{0, 96} {
+		mem := make([]int64, 64+512)
+		dt := types.NewDescTable()
+		h := NewQuota(mem, 64, 64+512, dt, quota)
+		recID := dt.Intern(types.NewRecord([]types.Field{
+			{Name: "a", Type: types.IntType},
+			{Name: "b", Type: types.IntType},
+			{Name: "c", Type: types.IntType},
+		}))
+		for i, c := range schedule {
+			for n := 0; c.alloc < 0 || n < c.alloc; n++ {
+				a, ok := h.TryAlloc(recID, 0)
+				if !ok {
+					break
+				}
+				h.Mem[a+1], h.Mem[a+2], h.Mem[a+3] = int64(i+1), -1, int64(n+1)
+			}
+			to := h.BeginCollection()
+			for a, n := h.FromLo, 0; a < h.Alloc && n < c.live; n++ {
+				size := h.SizeOf(a)
+				_, to = h.CopyObject(a, to)
+				a += size
+			}
+			h.FinishCollection(to)
+			for w := h.Alloc; w < h.Limit; w++ {
+				if h.Mem[w] != 0 {
+					t.Fatalf("quota=%d, after flip %d: word %d of free space [%d, %d) is %d",
+						quota, i+1, w, h.Alloc, h.Limit, h.Mem[w])
+				}
+			}
+			if err := h.Check(); err != nil {
+				t.Fatalf("quota=%d, after flip %d: %v", quota, i+1, err)
+			}
+		}
+	}
+}
+
 func TestPointerOffsetsHelpers(t *testing.T) {
 	h, dt := testHeap(t, 256)
 	listID := dt.Intern(types.NewRecord([]types.Field{
@@ -300,5 +357,33 @@ func TestQuotaSiblingIsolation(t *testing.T) {
 	}
 	if _, ok := b.TryAlloc(recID, 0); !ok {
 		t.Error("sibling can no longer allocate")
+	}
+}
+
+// TestMarkSetAppendMarked: the claimed addresses come back once each,
+// in ascending order, across bitmap-word boundaries.
+func TestMarkSetAppendMarked(t *testing.T) {
+	s := NewMarkSet(100, 400)
+	want := []int64{100, 163, 164, 227, 300, 399}
+	for i := len(want) - 1; i >= 0; i-- {
+		if !s.Claim(want[i]) {
+			t.Fatalf("first Claim(%d) lost", want[i])
+		}
+	}
+	if s.Claim(163) || s.Claim(300) {
+		t.Error("second claim won")
+	}
+	got := s.AppendMarked(nil)
+	if len(got) != len(want) {
+		t.Fatalf("AppendMarked = %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("AppendMarked = %v, want %v", got, want)
+		}
+	}
+	s.Reset(100, 400)
+	if got := s.AppendMarked(nil); len(got) != 0 {
+		t.Errorf("after Reset: %v", got)
 	}
 }

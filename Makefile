@@ -93,15 +93,17 @@ dispatch-smoke:
 	$(GO) test -count=1 -run 'TestDispatch|TestDifferentialSeedsClean' ./internal/vmachine/ ./internal/difftest/
 	$(GO) run ./cmd/paperbench -dispatch -bench8 artifacts/BENCH_8.json
 
-# Mostly-concurrent marking smoke: the SATB barrier unit tests, the
-# hostile white-object-hiding mutator, the black-allocation regression,
-# the proactive-trigger determinism check, and the four-thread soak
-# (per-cycle heap.Check + strict gcverify), all under -race — then the
-# pause-SLO benchmark, which fails if the two modes diverge on output,
-# writing the BENCH_9 measurement for CI.
+# Mostly-concurrent marking smoke: the shared MarkCycle unit tests (SATB
+# barrier, black allocation, bounded and wide fan-out mark steps, hooks
+# disarmed at the final pause), the hostile white-object-hiding mutator,
+# the black-allocation regression, the width-8 determinism check, the
+# tree-shaped STW equivalence pins, and the four-thread soaks (per-cycle
+# heap.Check + strict gcverify) for both collectors, all under -race —
+# then the pause-SLO benchmark, which fails if the two modes diverge on
+# output, writing the BENCH_9 measurement for CI.
 concurrent-smoke:
 	mkdir -p artifacts
-	$(GO) test -race -count=1 -run 'TestConcurrent|TestProactive|TestSATB|TestBlackAlloc|TestMarkStep' ./internal/gc/ ./internal/gengc/
+	$(GO) test -race -count=1 -run 'TestConcurrent|TestSATB|TestBlackAlloc|TestMarkStep|TestMarkCycle' ./internal/gc/ ./internal/gengc/
 	$(GO) run ./cmd/paperbench -concurrent -bench9 artifacts/BENCH_9.json
 
 # Server-shaped workload smoke: the generational session load drive

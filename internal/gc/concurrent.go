@@ -1,6 +1,6 @@
-// Mostly-concurrent marking for the precise compacting collector.
+// Mostly-concurrent marking for the precise collectors.
 //
-// A concurrent cycle splits Collect into three parts driven by the
+// A concurrent cycle splits a collection into three parts driven by the
 // vmachine scheduler through the vmachine.ConcurrentCollector protocol:
 //
 //	initial pause   StartCycle, at a §5.3 rendezvous: walk the stacks,
@@ -8,11 +8,15 @@
 //	                SATB write barrier and black-allocation hooks
 //	concurrent mark MarkStep, once per completed scheduler pass while
 //	                mutators run: scan a bounded batch of gray objects
-//	                (chunked across the TraceCopy worker pool for large
-//	                batches) and fold in barrier-logged old values
-//	final pause     FinishCycle, at a second rendezvous: drain the
-//	                barrier buffer, then run only the deterministic
-//	                assign/copy/fixup tail (trace.go FinishCopy)
+//	                and fold in barrier-logged old values
+//	final pause     vmachine.CompleteCycle, at a second rendezvous:
+//	                MarkStep bursts drain what is left, then
+//	                FinishCycle runs only the deterministic
+//	                assign/copy/fixup tail
+//
+// MarkCycle is that cycle's marking, shared by this package's collector
+// and gengc's concurrent majors; each collector supplies only its span,
+// its roots, its flip and its telemetry.
 //
 // Soundness is the snapshot-at-the-beginning argument: every object
 // reachable when the cycle began is retained, because (a) the roots
@@ -24,45 +28,159 @@
 // the cycle float until the next one.
 //
 // Determinism: mutators are green threads on one scheduler goroutine,
-// so mark bursts never race mutator writes, and burst boundaries fall
-// at scheduler pass boundaries, which are invariant under RunFuel
-// slicing. When a cycle runs with no mutator steps between its phases
-// — every single-threaded machine, including the whole difftest matrix
-// — the marked set equals the stop-the-world reachable set and the
-// canonical assign phase makes the resulting heap image bitwise
-// identical to a stop-the-world collection.
+// so mark bursts never race mutator writes, bursts are serial, and
+// burst boundaries fall at scheduler pass boundaries, which are
+// invariant under RunFuel slicing. When a cycle runs with no mutator
+// steps between its phases — every single-threaded machine, including
+// the whole difftest matrix — the marked set equals the stop-the-world
+// reachable set and the canonical assign phase makes the resulting heap
+// image bitwise identical to a stop-the-world collection.
 package gc
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
-	"repro/internal/heap"
 	"repro/internal/telemetry"
 	"repro/internal/vmachine"
 )
 
-// DefaultMarkBudget is the number of gray objects one MarkStep scans
-// when the collector does not choose a budget (Collector.MarkBudget
-// <= 0). A var so benchmarks can sweep it.
-var DefaultMarkBudget = 512
+// DefaultMarkBudget is the number of gray objects one mark burst scans
+// when the collector does not choose a budget (MarkBudget <= 0). A
+// burst this size never reaches forkGray, so bursts always run on the
+// scheduler's goroutine.
+const DefaultMarkBudget = 512
 
-// concParallelThreshold is the batch size below which a mark burst
-// scans inline instead of fanning out to the worker pool.
-const concParallelThreshold = 128
-
-// concCycle is the state of one in-flight concurrent mark cycle.
-type concCycle struct {
-	// gray holds claimed-but-unscanned objects; marked accumulates
-	// every claimed object (the final copy plan's input).
-	gray   []int64
-	marked []int64
+// MarkCycle is one in-flight concurrent mark over a CopySpace whose
+// Marks bitmap covers every address a black allocation can claim.
+type MarkCycle struct {
+	// w is the cycle's serial mark worker: w.gray holds claimed but
+	// unscanned objects, w.marked counts every claim of the cycle, and
+	// w.e.sp is the space being marked.
+	w markWorker
 	// satb buffers barrier-logged old values between mark steps. Each
 	// entry was already claimed when logged (claim-on-log bounds the
 	// buffer by the object count), so folding it into gray just
 	// schedules its fields for scanning.
 	satb []int64
+	// Logged counts the old values the barrier claimed.
+	Logged int64
+}
+
+// StartMarkCycle begins a cycle at the initial pause: it claims the
+// objects the root slots reference and arms m's SATB and AllocMark
+// hooks, which stay armed until Finish. Roots hold only tidy pointers
+// or NIL (derived values live in Deriv entries, not the root set), so
+// no adjustment is needed first.
+func StartMarkCycle(m *vmachine.Machine, sp CopySpace, roots []*int64) (*MarkCycle, error) {
+	gray, err := claimRoots(roots, sp)
+	if err != nil {
+		return nil, err
+	}
+	mc := &MarkCycle{w: markWorker{e: &markEngine{sp: sp}, gray: gray, marked: int64(len(gray))}}
+	m.SATB = mc.logSATB
+	m.AllocMark = mc.allocBlack
+	return mc, nil
+}
+
+// logSATB is the machine's SATB hook: it receives the overwritten old
+// value of every barriered pointer store. Claiming at log time both
+// bounds the buffer (an object is logged at most once per cycle) and
+// makes the snapshot invariant local: once a value is logged, no later
+// store can lose it.
+func (mc *MarkCycle) logSATB(old int64) {
+	sp := &mc.w.e.sp
+	if old != 0 && sp.InFrom(old) && sp.Marks.Claim(old) {
+		mc.w.marked++
+		mc.Logged++
+		mc.satb = append(mc.satb, old)
+	}
+}
+
+// allocBlack is the machine's AllocMark hook: objects allocated (or
+// compile-time reused) during a cycle are claimed black — retained
+// this cycle, never scanned. Their pointer fields start NIL and every
+// later pointer store into them is barriered, so nothing is missed.
+func (mc *MarkCycle) allocBlack(addr int64) {
+	if mc.w.e.sp.Marks.Claim(addr) {
+		mc.w.marked++
+	}
+}
+
+// Idle reports whether no gray or barrier-logged object is waiting to
+// be scanned.
+func (mc *MarkCycle) Idle() bool {
+	return len(mc.w.gray) == 0 && len(mc.satb) == 0
+}
+
+// Step is one bounded mark burst: it folds in the values the barrier
+// logged since the last step, then scans up to budget gray objects
+// (DefaultMarkBudget when budget <= 0). It reports whether marking is
+// complete.
+func (mc *MarkCycle) Step(budget int) (done bool) {
+	w := &mc.w
+	w.gray = append(w.gray, mc.satb...)
+	mc.satb = mc.satb[:0]
+	if budget <= 0 {
+		budget = DefaultMarkBudget
+	}
+	// The batch is carved off the gray stack's tail, and scanning it
+	// appends discoveries back onto w.gray — so the remainder must not
+	// share capacity with the batch, or those appends would overwrite
+	// unread batch entries mid-scan and silently drop their subtrees
+	// (tree-shaped graphs discover faster than the batch read cursor
+	// advances). The full slice expression forces append to reallocate.
+	keep := max(len(w.gray)-budget, 0)
+	batch := w.gray[keep:]
+	w.gray = w.gray[:keep:keep]
+	for _, a := range batch {
+		w.scan(a)
+	}
+	return len(w.gray) == 0
+}
+
+// Finish completes the cycle at the final pause, given the root slots
+// walked there: it disarms m's hooks, checks that marking is complete
+// and the snapshot invariant holds, and copies the marked set. The
+// caller has already run Step until it reported done, with no mutator
+// step since (vmachine.CompleteCycle), so every barrier-logged value
+// has been scanned. workers is the trace width (<= 0 means
+// DefaultTraceWorkers).
+func (mc *MarkCycle) Finish(m *vmachine.Machine, roots []*int64, workers int) (TraceStats, error) {
+	m.SATB = nil
+	m.AllocMark = nil
+	sp := mc.w.e.sp
+	if !mc.Idle() {
+		return TraceStats{}, fmt.Errorf("gc: final pause with %d gray and %d logged objects unscanned",
+			len(mc.w.gray), len(mc.satb))
+	}
+	// Every root value must be marked by now: reachable-at-start
+	// objects were seeded or logged, later allocations claimed black.
+	// An unmarked root here is a barrier bug, and proceeding would
+	// patch the slot with garbage.
+	for _, p := range roots {
+		if v := *p; v != 0 && sp.InFrom(v) && !sp.Marks.Marked(v) {
+			return TraceStats{}, fmt.Errorf("gc: root %d unmarked at final pause (SATB invariant violated)", v)
+		}
+	}
+	return finishCopy(roots, sp, traceWidth(workers), mc.w.marked)
+}
+
+// RunCycle runs cc's concurrent cycle to completion with no mutator
+// step between its phases, starting one first when start is set. A
+// direct Collect uses it: single-threaded machines, stress mode,
+// explicit collections with no other runnable thread, and a call that
+// lands while a cycle is in flight. With zero mutator steps between
+// phases the result is bitwise identical to a stop-the-world
+// collection, so the difftest matrix exercises exactly the split-cycle
+// code while pinning its results to the STW cells.
+func RunCycle(cc vmachine.ConcurrentCollector, m *vmachine.Machine, start bool) error {
+	if start {
+		if err := cc.StartCycle(m); err != nil {
+			return err
+		}
+	}
+	return vmachine.CompleteCycle(cc, m)
 }
 
 // ShouldStartCycle implements vmachine.ConcurrentCollector: only full
@@ -72,83 +190,25 @@ func (c *Collector) ShouldStartCycle() bool {
 	return c.Concurrent && c.Mode == ModeFull
 }
 
-// ConcTriggerPercent is the from-space occupancy (percent of the
-// allocation quota) at which ShouldTriggerCycle starts a cycle
-// proactively, before any allocation fails. Zero (the default)
-// disables proactive triggering: cycles then start at the first failed
-// allocation, exactly when a stop-the-world collection would run.
-//
-// The tradeoff is measured in EXPERIMENTS.md (BENCH_9): a proactive
-// cycle gives marking allocation runway, but it also lengthens the
-// window during which every allocation is claimed black, so on
-// allocation-heavy workloads the floating garbage inflates the copy
-// tail of the final pause by more than the avoided mark drain. Enable
-// it for mark-heavy, allocation-light heaps; leave it off when churn
-// dominates.
-var ConcTriggerPercent int64 = 0
-
-// ShouldTriggerCycle implements vmachine.CycleTrigger.
-func (c *Collector) ShouldTriggerCycle() bool {
-	trig := ConcTriggerPercent
-	if trig <= 0 || trig > 100 || c.cyc != nil || !c.ShouldStartCycle() {
-		return false
-	}
-	h := c.Heap
-	quota := h.Limit - h.FromLo
-	return quota > 0 && h.LiveWords()*100 >= quota*trig
-}
-
 // StartCycle implements vmachine.ConcurrentCollector: the initial
 // root-scan pause. Must run at a safepoint (every live thread parked
 // at a gc-point or the machine single-threaded inline path).
 func (c *Collector) StartCycle(m *vmachine.Machine) error {
 	start := time.Now()
 	defer func() { c.TotalTime += time.Since(start) }()
-	h := c.Heap
-	tid := curThread(m)
-	var telStart int64
-	if c.Tel != nil {
-		telStart = c.Tel.Now()
-		c.Tel.Emit(telemetry.EvGCBegin, tid, telemetry.GCFull,
-			h.LiveBytes(), h.AllocatedBytes(), h.Collections)
-	}
-
-	// The mark bitmap must span the whole from-space quota, not just
-	// the current allocation watermark: black allocations during the
-	// cycle claim addresses past it.
-	if c.marks == nil {
-		c.marks = heap.NewMarkSet(h.FromLo, h.Limit)
-	} else {
-		c.marks.Reset(h.FromLo, h.Limit)
-	}
-
-	traceStart := time.Now()
-	frames, err := WalkMachineN(m, c.Dec, c.WalkWorkers)
+	telStart := c.begin(m, telemetry.GCFull)
+	frames, walkTime, err := c.walk(m, false)
 	if err != nil {
 		return err
 	}
-	c.FramesTraced += int64(len(frames))
-	walkTime := time.Since(traceStart)
-	c.StackTraceTime += walkTime
-
-	// Seed the snapshot: every object a root references right now is
-	// reachable-at-start by definition. Roots hold only tidy pointers
-	// or NIL (derived values live in Deriv entries, not the root set),
-	// so the values can be claimed directly without adjustment.
-	cyc := &concCycle{}
-	for _, p := range CollectRoots(m, frames) {
-		v := *p
-		if v != 0 && h.Contains(v) && c.marks.Claim(v) {
-			cyc.marked = append(cyc.marked, v)
-			cyc.gray = append(cyc.gray, v)
-		}
+	// The mark bitmap spans the whole from-space quota, not just the
+	// current allocation watermark: black allocations during the cycle
+	// claim addresses past it.
+	if c.cyc, err = StartMarkCycle(m, c.space(c.Heap.Limit), CollectRoots(m, frames)); err != nil {
+		return err
 	}
-	c.cyc = cyc
-	m.SATB = c.satbRecord
-	m.AllocMark = c.blackAlloc
-
 	if c.Tel != nil {
-		c.Tel.Emit(telemetry.EvStackWalk, tid, int64(walkTime), int64(len(frames)), 0, 0)
+		c.Tel.Emit(telemetry.EvStackWalk, CurThread(m), int64(walkTime), int64(len(frames)), 0, 0)
 		c.mFrames.Add(int64(len(frames)))
 		c.hWalk.Observe(int64(walkTime))
 		// The initial root scan stalls mutators, so it counts against
@@ -158,292 +218,58 @@ func (c *Collector) StartCycle(m *vmachine.Machine) error {
 	return nil
 }
 
-// satbRecord is the machine's SATB hook: it receives the overwritten
-// old value of every barriered pointer store. Claiming at log time
-// both bounds the buffer (an object is logged at most once per cycle)
-// and makes the snapshot invariant local: once a value is logged, no
-// later store can lose it.
-func (c *Collector) satbRecord(old int64) {
-	cyc := c.cyc
-	if cyc == nil || old == 0 {
-		return
-	}
-	if c.Heap.Contains(old) && c.marks.Claim(old) {
-		c.SATBLogged++
-		cyc.marked = append(cyc.marked, old)
-		cyc.satb = append(cyc.satb, old)
-	}
-}
-
-// blackAlloc is the machine's AllocMark hook: objects allocated (or
-// compile-time reused) during a cycle are claimed black — retained
-// this cycle, never scanned. Their pointer fields start NIL and every
-// later pointer store into them is barriered, so nothing is missed.
-func (c *Collector) blackAlloc(addr int64) {
-	cyc := c.cyc
-	if cyc == nil {
-		return
-	}
-	if c.marks.Claim(addr) {
-		cyc.marked = append(cyc.marked, addr)
-	}
-}
-
 // MarkStep implements vmachine.ConcurrentCollector: one bounded mark
-// increment. The scheduler calls it between passes, so no mutator runs
-// concurrently; within a large burst the scan fans out across the
-// TraceCopy worker pool (claim races only affect discovery order,
-// never the claimed set, and the canonical assign phase erases order).
-func (c *Collector) MarkStep(m *vmachine.Machine) (bool, error) {
-	cyc := c.cyc
-	if cyc == nil {
+// burst. The scheduler calls it between passes, so no mutator runs
+// concurrently.
+func (c *Collector) MarkStep(*vmachine.Machine) (bool, error) {
+	if c.cyc == nil || c.cyc.Idle() {
 		return true, nil
-	}
-	if len(cyc.satb) > 0 {
-		cyc.gray = append(cyc.gray, cyc.satb...)
-		cyc.satb = cyc.satb[:0]
-	}
-	if len(cyc.gray) == 0 {
-		return true, nil
-	}
-	var telStart int64
-	if c.Tel != nil {
-		telStart = c.Tel.Now()
 	}
 	t0 := time.Now()
-
-	budget := c.MarkBudget
-	if budget <= 0 {
-		budget = DefaultMarkBudget
-	}
-	n := len(cyc.gray)
-	if n > budget {
-		n = budget
-	}
-	// The batch is carved off the gray stack's tail, and scanBatch
-	// appends discoveries back onto cyc.gray — so the remainder must
-	// not share capacity with the batch, or those appends would
-	// overwrite unread batch entries mid-scan and silently drop their
-	// subtrees. The full slice expression forces append to reallocate.
-	keep := len(cyc.gray) - n
-	batch := cyc.gray[keep:]
-	cyc.gray = cyc.gray[:keep:keep]
-	c.scanBatch(batch)
-
-	c.ConcMarkTime += time.Since(t0)
+	done := c.cyc.Step(c.MarkBudget)
+	burst := time.Since(t0)
+	c.ConcMarkTime += burst
 	if c.Tel != nil {
-		burst := c.Tel.Now() - telStart
-		c.hConcMark.Observe(burst)
 		// A burst stalls mutators too (they are descheduled while it
 		// runs), so it belongs in the pause distribution — that is the
 		// point of bounding it.
-		c.hPause.Observe(burst)
+		c.hConcMark.Observe(int64(burst))
+		c.hPause.Observe(int64(burst))
 	}
-	return len(cyc.gray) == 0 && len(cyc.satb) == 0, nil
-}
-
-// scanBatch scans the pointer fields of batch, claiming and graying
-// newly discovered objects. Large batches are chunked across the
-// worker pool; each worker appends discoveries to its own lists, which
-// are merged afterwards.
-func (c *Collector) scanBatch(batch []int64) {
-	h := c.Heap
-	workers := c.TraceWorkers
-	if workers <= 0 {
-		workers = DefaultTraceWorkers
-	}
-	if workers > len(batch)/concParallelThreshold {
-		workers = len(batch) / concParallelThreshold
-	}
-	if workers <= 1 {
-		var offs []int64
-		for _, a := range batch {
-			offs = h.PointerOffsets(a, offs[:0])
-			for _, off := range offs {
-				v := h.Mem[a+off]
-				if v != 0 && h.Contains(v) && c.marks.Claim(v) {
-					c.cyc.marked = append(c.cyc.marked, v)
-					c.cyc.gray = append(c.cyc.gray, v)
-				}
-			}
-		}
-		return
-	}
-	found := make([][]int64, workers)
-	var wg sync.WaitGroup
-	chunk := (len(batch) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(batch) {
-			hi = len(batch)
-		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(w int, part []int64) {
-			defer wg.Done()
-			var offs, mine []int64
-			for _, a := range part {
-				offs = h.PointerOffsets(a, offs[:0])
-				for _, off := range offs {
-					v := h.Mem[a+off]
-					if v != 0 && h.Contains(v) && c.marks.Claim(v) {
-						mine = append(mine, v)
-					}
-				}
-			}
-			found[w] = mine
-		}(w, batch[lo:hi])
-	}
-	wg.Wait()
-	for _, mine := range found {
-		c.cyc.marked = append(c.cyc.marked, mine...)
-		c.cyc.gray = append(c.cyc.gray, mine...)
-	}
+	return done, nil
 }
 
 // FinishCycle implements vmachine.ConcurrentCollector: the final
-// pause. Must run at a safepoint. It drains whatever the barrier
-// logged since the last mark step, re-walks the stacks for fixup,
-// adjusts derived values, and runs the deterministic assign/copy/fixup
-// tail over the accumulated marked set.
+// pause, once MarkStep has reported done. Must run at a safepoint. It
+// re-walks the stacks for fixup, adjusts derived values, checks the
+// mark and copies the survivors.
 func (c *Collector) FinishCycle(m *vmachine.Machine) error {
-	cyc := c.cyc
-	if cyc == nil {
+	if c.cyc == nil {
 		return nil
 	}
 	start := time.Now()
 	defer func() { c.TotalTime += time.Since(start) }()
-	h := c.Heap
-	tid := curThread(m)
 	var telStart int64
 	if c.Tel != nil {
 		telStart = c.Tel.Now()
 	}
-
-	// Drain: barrier entries logged since the last step, and any gray
-	// left if the machine rendezvoused before marking finished (forced
-	// collections, allocation failure mid-cycle).
-	for len(cyc.satb) > 0 || len(cyc.gray) > 0 {
-		cyc.gray = append(cyc.gray, cyc.satb...)
-		cyc.satb = cyc.satb[:0]
-		batch := cyc.gray
-		cyc.gray = nil
-		c.scanBatch(batch)
-	}
-
-	traceStart := time.Now()
-	frames, err := WalkMachineN(m, c.Dec, c.WalkWorkers)
+	frames, walkTime, err := c.walk(m, true)
 	if err != nil {
 		return err
 	}
-	c.FramesTraced += int64(len(frames))
-	if err := AdjustDerivedN(m, frames, c.TraceWorkers); err != nil {
-		return err
-	}
-	walkTime := time.Since(traceStart)
-	c.StackTraceTime += walkTime
-
-	roots := CollectRoots(m, frames)
-	// SATB invariant check: every root value must be marked by now
-	// (reachable-at-start objects were seeded or logged; later
-	// allocations were claimed black). An unmarked root here is a
-	// barrier bug, and proceeding would patch the slot with garbage.
-	for _, p := range roots {
-		if v := *p; v != 0 && h.Contains(v) && !c.marks.Marked(v) {
-			return fmt.Errorf("gc: root %d unmarked at final pause (SATB invariant violated)", v)
-		}
-	}
-
-	sp := CopySpace{
-		Mem:        h.Mem,
-		SpanLo:     h.FromLo,
-		SpanHi:     h.Limit,
-		InFrom:     h.Contains,
-		SizeOf:     h.SizeOf,
-		PtrOffsets: h.PointerOffsets,
-		Copy:       h.CopyObjectSized,
-		ToBase:     h.BeginCollection(),
-		Marks:      c.marks,
-	}
-	st, err := FinishCopy([][]int64{cyc.marked}, roots, sp, c.TraceWorkers)
-	if err != nil {
-		return err
-	}
-	c.WordsCopied += st.Words
-	c.ObjectsCopied += st.Objects
-	c.AssignTime += st.Assign
-	c.CopyTime += st.Copy
-	c.FixupTime += st.Fixup
-	h.AddCopied(st.Objects)
-	h.FinishCollection(st.Next)
-	RederiveAllN(m, frames, c.TraceWorkers)
-
-	m.SATB = nil
-	m.AllocMark = nil
+	st, err := c.cyc.Finish(m, CollectRoots(m, frames), c.TraceWorkers)
+	c.SATBLogged += c.cyc.Logged
 	c.cyc = nil
+	if err != nil {
+		return err
+	}
+	if err := c.flip(st); err != nil {
+		return err
+	}
+	RederiveAllN(m, frames, c.TraceWorkers)
 	c.Collections++
 	c.Cycles++
-
-	if c.Debug {
-		if err := h.Check(); err != nil {
-			return err
-		}
-	}
-	if c.Tel != nil {
-		nDeriv := countDerivs(frames)
-		copiedBytes := st.Words * heap.WordBytes
-		c.Tel.Emit(telemetry.EvStackWalk, tid, int64(walkTime), int64(len(frames)), 0, 0)
-		c.Tel.Emit(telemetry.EvGCEnd, tid, copiedBytes, int64(len(frames)), nDeriv, nDeriv)
-		c.mCollections.Add(1)
-		c.mFrames.Add(int64(len(frames)))
-		c.mCopied.Add(copiedBytes)
-		c.mObjects.Add(st.Objects)
-		c.mAdjusted.Add(nDeriv)
-		c.mRederived.Add(nDeriv)
-		c.hWalk.Observe(int64(walkTime))
-		c.hAssign.Observe(int64(st.Assign))
-		c.hCopy.Observe(int64(st.Copy))
-		c.hFixup.Observe(int64(st.Fixup))
-		final := c.Tel.Now() - telStart
-		c.hPause.Observe(final)
-		c.hFinal.Observe(final)
-		c.gAllocBytes.Set(h.AllocatedBytes())
-		c.gLiveBytes.Set(h.LiveBytes())
-		c.gLiveObjects.Set(h.LiveObjects)
-		c.gCollections.Set(h.Collections)
-	}
+	c.end(m, telStart, frames, walkTime, st)
 	c.FinalPauseTime += time.Since(start)
 	return nil
-}
-
-// collectSplit runs a whole concurrent cycle back-to-back: the inline
-// path used when Collect is called directly (single-threaded machines,
-// stress mode, explicit collections with no other runnable thread).
-// With zero mutator steps between phases it is bitwise identical to a
-// stop-the-world collection, so the difftest matrix exercises exactly
-// the split-cycle code while pinning its results to the STW cells.
-func (c *Collector) collectSplit(m *vmachine.Machine) error {
-	if err := c.StartCycle(m); err != nil {
-		return err
-	}
-	return c.finishActive(m)
-}
-
-// finishActive drains the active cycle's marking and finishes it (the
-// direct-Collect path; the scheduler's own rendezvous uses the same
-// MarkStep/FinishCycle pair).
-func (c *Collector) finishActive(m *vmachine.Machine) error {
-	for {
-		done, err := c.MarkStep(m)
-		if err != nil {
-			return err
-		}
-		if done {
-			break
-		}
-	}
-	return c.FinishCycle(m)
 }

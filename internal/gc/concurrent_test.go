@@ -215,6 +215,47 @@ func TestConcurrentHostileWhiteStore(t *testing.T) {
 	t.Logf("victim survived %d cycles (%d SATB logs)", col.Cycles, col.SATBLogged)
 }
 
+// TestConcurrentDeterministicAtWidth8 runs the four-thread hostile
+// program at TraceWorkers 8 several times and requires every run to
+// agree on the collection schedule, the barrier's log count and the
+// final heap image. Mark bursts are serial at every width, and burst
+// boundaries fall at scheduler passes, so nothing a mutator can observe
+// may depend on how the final copy's helpers raced.
+func TestConcurrentDeterministicAtWidth8(t *testing.T) {
+	type result struct {
+		gcs, cycles, logged int64
+		hash                uint64
+	}
+	c := concCompile(t, hostileSrc, func(o *driver.Options) { o.TraceWorkers = 8 })
+	var first result
+	for run := 0; run < 3; run++ {
+		cfg := vmachine.Config{HeapWords: 768, StackWords: 4096, MaxThreads: 8, Quantum: 41}
+		var sb strings.Builder
+		cfg.Out = &sb
+		m, col, err := c.NewMachine(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spawnWorkers(t, c, m, "W1", "W2", "W3")
+		if err := m.Run(1_000_000_000); err != nil {
+			t.Fatalf("run %d: %v (out=%q)", run, err, sb.String())
+		}
+		if sb.String() != "12345\n" {
+			t.Fatalf("run %d: output %q, want %q", run, sb.String(), "12345\n")
+		}
+		got := result{m.GCCount, col.Cycles, col.SATBLogged, fnvWords(m.Mem[m.HeapLo:m.HeapHi])}
+		if run == 0 {
+			if got.cycles == 0 || got.logged == 0 {
+				t.Fatalf("cycles=%d satb logged=%d: the run exercised no concurrent marking", got.cycles, got.logged)
+			}
+			first = got
+		} else if got != first {
+			t.Fatalf("run %d diverged: %+v, first run %+v", run, got, first)
+		}
+	}
+	t.Logf("3 runs agree: %+v", first)
+}
+
 // blackAllocSrc holds a persistent ballast list live across the whole
 // run while a burst allocator churns; every ballast node is reachable
 // only through the list head, so a single wrongly-reclaimed (or
@@ -519,58 +560,9 @@ func TestConcurrentPauseSLO(t *testing.T) {
 	}
 }
 
-// TestProactiveCycleTrigger exercises the vmachine.CycleTrigger path:
-// with gc.ConcTriggerPercent set, multi-threaded machines start cycles
-// at the occupancy threshold instead of waiting for an allocation to
-// fail. The trigger must leave program output untouched, produce more
-// (earlier) collections than the exhaustion-triggered baseline, and be
-// deterministic — occupancy at a scheduler pass boundary is a pure
-// function of the instruction stream, so two runs must agree exactly.
-func TestProactiveCycleTrigger(t *testing.T) {
-	run := func(trigger int64) (string, int64, int64) {
-		t.Helper()
-		old := gc.ConcTriggerPercent
-		gc.ConcTriggerPercent = trigger
-		defer func() { gc.ConcTriggerPercent = old }()
-		c := concCompile(t, soakSrc, nil)
-		cfg := vmachine.Config{HeapWords: 2048, StackWords: 4096, MaxThreads: 8, Quantum: 53}
-		var sb strings.Builder
-		cfg.Out = &sb
-		m, col, err := c.NewMachine(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		col.Debug = true // heap invariants checked inside every final pause
-		spawnWorkers(t, c, m, "W1", "W2", "W3")
-		if err := m.Run(1_000_000_000); err != nil {
-			t.Fatalf("trigger=%d: %v (out=%q)", trigger, err, sb.String())
-		}
-		return sb.String(), m.GCCount, col.Cycles
-	}
-	outOff, gcsOff, _ := run(0)
-	if outOff != parallelWant {
-		t.Fatalf("baseline output %q, want %q", outOff, parallelWant)
-	}
-	outOn, gcsOn, cyclesOn := run(50)
-	if outOn != parallelWant {
-		t.Errorf("triggered output %q, want %q", outOn, parallelWant)
-	}
-	if cyclesOn == 0 {
-		t.Error("no concurrent cycles ran with the trigger enabled")
-	}
-	if gcsOn <= gcsOff {
-		t.Errorf("trigger at 50%% occupancy ran %d collections, baseline %d; proactive cycles must start earlier",
-			gcsOn, gcsOff)
-	}
-	outOn2, gcsOn2, _ := run(50)
-	if outOn2 != outOn || gcsOn2 != gcsOn {
-		t.Errorf("trigger schedule not deterministic: gcs %d vs %d", gcsOn, gcsOn2)
-	}
-}
-
 // TestConcurrentTreeBenchmarksMatchSTW pins the gray-stack aliasing
-// regression: MarkStep carves each batch off the tail of the gray
-// stack while scanBatch appends discoveries back onto the same stack,
+// regression: a mark step carves each batch off the tail of the gray
+// stack while scanning it appends discoveries back onto the same stack,
 // so a remainder that shared backing capacity with the batch let those
 // appends overwrite unread batch entries mid-scan and silently drop
 // their subtrees. List-shaped graphs — one discovery per scanned

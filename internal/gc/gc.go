@@ -82,7 +82,7 @@ type Collector struct {
 	FinalPauseTime time.Duration
 
 	// cyc is the in-flight concurrent cycle, nil outside one.
-	cyc *concCycle
+	cyc *MarkCycle
 
 	// marks is the recycled mark bitmap (one allocation per collector,
 	// not per collection).
@@ -174,17 +174,18 @@ func gcKind(mode Mode) int64 {
 	return telemetry.GCFull
 }
 
-// curThread identifies the thread a collection runs on behalf of.
-func curThread(m *vmachine.Machine) int32 {
+// CurThread identifies the thread a collection runs on behalf of (-1
+// when none is current).
+func CurThread(m *vmachine.Machine) int32 {
 	if m.Cur != nil {
 		return int32(m.Cur.ID)
 	}
 	return -1
 }
 
-// countDerivs totals the derivation entries across walked frames — the
+// CountDerivs totals the derivation entries across walked frames — the
 // derived values adjusted in phase 1 and re-derived in phase 2.
-func countDerivs(frames []*Frame) int64 {
+func CountDerivs(frames []*Frame) int64 {
 	var n int64
 	for _, f := range frames {
 		n += int64(len(f.View.Derivs))
@@ -193,19 +194,13 @@ func countDerivs(frames []*Frame) int64 {
 }
 
 // Collect implements vmachine.Collector. With Concurrent set, a direct
-// call runs the whole split cycle back-to-back (collectSplit) — the
-// single-threaded inline path, bitwise identical to stop-the-world; the
-// multi-threaded scheduler instead drives StartCycle/MarkStep/
-// FinishCycle itself and never calls Collect.
+// call runs a whole concurrent cycle back-to-back (RunCycle), or
+// finishes the one in flight; the multi-threaded scheduler instead
+// drives StartCycle/MarkStep/FinishCycle itself and never calls
+// Collect for them.
 func (c *Collector) Collect(m *vmachine.Machine) error {
-	if c.cyc != nil {
-		// A direct Collect landed while a cycle is in flight (an
-		// external caller; the machine's own paths finish the cycle
-		// first): drain and finish it rather than starting another.
-		return c.finishActive(m)
-	}
-	if c.ShouldStartCycle() {
-		return c.collectSplit(m)
+	if c.cyc != nil || c.ShouldStartCycle() {
+		return RunCycle(c, m, c.cyc == nil)
 	}
 	start := time.Now()
 	defer func() { c.TotalTime += time.Since(start) }()
@@ -213,85 +208,82 @@ func (c *Collector) Collect(m *vmachine.Machine) error {
 		return nil
 	}
 	c.Collections++
-
-	tid := curThread(m)
-	var telStart int64
-	if c.Tel != nil {
-		telStart = c.Tel.Now()
-		c.Tel.Emit(telemetry.EvGCBegin, tid, gcKind(c.Mode),
-			c.Heap.LiveBytes(), c.Heap.AllocatedBytes(), c.Heap.Collections)
-	}
-
-	traceStart := time.Now()
-	frames, err := WalkMachineN(m, c.Dec, c.WalkWorkers)
+	telStart := c.begin(m, gcKind(c.Mode))
+	frames, walkTime, err := c.walk(m, true)
 	if err != nil {
 		return err
 	}
-	c.FramesTraced += int64(len(frames))
-	if err := AdjustDerivedN(m, frames, c.TraceWorkers); err != nil {
-		return err
-	}
-	walkTime := time.Since(traceStart)
-	c.StackTraceTime += walkTime
-
 	var st TraceStats
 	if c.Mode == ModeFull {
-		if st, err = c.copyLive(m, frames); err != nil {
+		// Evacuate every live object through the deterministic
+		// trace-copy engine (trace.go); identical at every width.
+		h := c.Heap
+		sp := c.space(h.Alloc)
+		if c.Debug {
+			sp.Check = func(v int64) error {
+				if !h.Contains(v) {
+					return fmt.Errorf("gc: root %d outside the heap", v)
+				}
+				return nil
+			}
+		}
+		if st, err = TraceCopy(CollectRoots(m, frames), sp, c.TraceWorkers); err != nil {
+			return err
+		}
+		if err := c.flip(st); err != nil {
 			return err
 		}
 	}
 	RederiveAllN(m, frames, c.TraceWorkers)
-
-	if c.Tel != nil {
-		nDeriv := countDerivs(frames)
-		copiedBytes := st.Words * heap.WordBytes
-		c.Tel.Emit(telemetry.EvStackWalk, tid, int64(walkTime), int64(len(frames)), 0, 0)
-		c.Tel.Emit(telemetry.EvGCEnd, tid, copiedBytes, int64(len(frames)), nDeriv, nDeriv)
-		c.mCollections.Add(1)
-		c.mFrames.Add(int64(len(frames)))
-		c.mCopied.Add(copiedBytes)
-		c.mObjects.Add(st.Objects)
-		c.mSteals.Add(st.Steals)
-		c.mAdjusted.Add(nDeriv)
-		c.mRederived.Add(nDeriv)
-		c.hWalk.Observe(int64(walkTime))
-		if c.Mode == ModeFull {
-			c.hMark.Observe(int64(st.Mark))
-			c.hAssign.Observe(int64(st.Assign))
-			c.hCopy.Observe(int64(st.Copy))
-			c.hFixup.Observe(int64(st.Fixup))
-		}
-		pause := c.Tel.Now() - telStart
-		c.hPause.Observe(pause)
-		if c.Mode == ModeFull {
-			// A stop-the-world collection's "final pause" is the whole
-			// pause, so concurrent-vs-STW SLO comparisons read one
-			// histogram.
-			c.hFinal.Observe(pause)
-		}
-		c.gAllocBytes.Set(c.Heap.AllocatedBytes())
-		c.gLiveBytes.Set(c.Heap.LiveBytes())
-		c.gLiveObjects.Set(c.Heap.LiveObjects)
-		c.gCollections.Set(c.Heap.Collections)
-	}
+	c.end(m, telStart, frames, walkTime, st)
 	return nil
 }
 
-// copyLive evacuates every live object through the deterministic
-// trace-copy engine (trace.go): parallel mark over the from-space,
-// canonical allocation-order address assignment, range copy, pointer
-// fixup. Identical at every TraceWorkers width.
-func (c *Collector) copyLive(m *vmachine.Machine, frames []*Frame) (TraceStats, error) {
-	h := c.Heap
-	lo, hi := h.FromSpan()
-	if c.marks == nil {
-		c.marks = heap.NewMarkSet(lo, hi)
-	} else {
-		c.marks.Reset(lo, hi)
+// begin emits a collection's begin event and returns its telemetry
+// start time (0 without telemetry).
+func (c *Collector) begin(m *vmachine.Machine, kind int64) int64 {
+	if c.Tel == nil {
+		return 0
 	}
-	sp := CopySpace{
+	t := c.Tel.Now()
+	h := c.Heap
+	c.Tel.Emit(telemetry.EvGCBegin, CurThread(m), kind, h.LiveBytes(), h.AllocatedBytes(), h.Collections)
+	return t
+}
+
+// walk walks every thread's stack and, when adjust is set, runs phase
+// 1 of the derived-value protocol: pauses that move objects adjust,
+// the concurrent initial pause only reads the roots. It returns the
+// frames and the time both took.
+func (c *Collector) walk(m *vmachine.Machine, adjust bool) ([]*Frame, time.Duration, error) {
+	t0 := time.Now()
+	frames, err := WalkMachineN(m, c.Dec, c.WalkWorkers)
+	if err != nil {
+		return nil, 0, err
+	}
+	c.FramesTraced += int64(len(frames))
+	if adjust {
+		if err := AdjustDerivedN(m, frames, c.TraceWorkers); err != nil {
+			return nil, 0, err
+		}
+	}
+	d := time.Since(t0)
+	c.StackTraceTime += d
+	return frames, d, nil
+}
+
+// space describes a collection of from-space [FromLo, hi) to the
+// trace engine, with the recycled mark bitmap reset to cover it.
+func (c *Collector) space(hi int64) CopySpace {
+	h := c.Heap
+	if c.marks == nil {
+		c.marks = heap.NewMarkSet(h.FromLo, hi)
+	} else {
+		c.marks.Reset(h.FromLo, hi)
+	}
+	return CopySpace{
 		Mem:        h.Mem,
-		SpanLo:     lo,
+		SpanLo:     h.FromLo,
 		SpanHi:     hi,
 		InFrom:     h.Contains,
 		SizeOf:     h.SizeOf,
@@ -300,18 +292,12 @@ func (c *Collector) copyLive(m *vmachine.Machine, frames []*Frame) (TraceStats, 
 		ToBase:     h.BeginCollection(),
 		Marks:      c.marks,
 	}
-	if c.Debug {
-		sp.Check = func(v int64) error {
-			if !h.Contains(v) {
-				return fmt.Errorf("gc: root %d outside the heap", v)
-			}
-			return nil
-		}
-	}
-	st, err := TraceCopy(CollectRoots(m, frames), sp, c.TraceWorkers)
-	if err != nil {
-		return st, err
-	}
+}
+
+// flip records a finished copy in the statistics and makes the copy
+// space the allocation space.
+func (c *Collector) flip(st TraceStats) error {
+	h := c.Heap
 	c.WordsCopied += st.Words
 	c.ObjectsCopied += st.Objects
 	c.Steals += st.Steals
@@ -322,9 +308,47 @@ func (c *Collector) copyLive(m *vmachine.Machine, frames []*Frame) (TraceStats, 
 	h.AddCopied(st.Objects)
 	h.FinishCollection(st.Next)
 	if c.Debug {
-		if err := h.Check(); err != nil {
-			return st, err
-		}
+		return h.Check()
 	}
-	return st, nil
+	return nil
+}
+
+// end emits a collection's closing events and metrics. A moving pause
+// — a stop-the-world collection or a concurrent final pause — also
+// feeds the phase and final-pause histograms, so concurrent-vs-STW SLO
+// comparisons read one histogram. A concurrent final pause marks
+// nothing (its bursts ran before it, Mark 0) and adds no mark-time
+// sample.
+func (c *Collector) end(m *vmachine.Machine, telStart int64, frames []*Frame, walkTime time.Duration, st TraceStats) {
+	if c.Tel == nil {
+		return
+	}
+	tid := CurThread(m)
+	nDeriv := CountDerivs(frames)
+	copiedBytes := st.Words * heap.WordBytes
+	c.Tel.Emit(telemetry.EvStackWalk, tid, int64(walkTime), int64(len(frames)), 0, 0)
+	c.Tel.Emit(telemetry.EvGCEnd, tid, copiedBytes, int64(len(frames)), nDeriv, nDeriv)
+	c.mCollections.Add(1)
+	c.mFrames.Add(int64(len(frames)))
+	c.mCopied.Add(copiedBytes)
+	c.mObjects.Add(st.Objects)
+	c.mSteals.Add(st.Steals)
+	c.mAdjusted.Add(nDeriv)
+	c.mRederived.Add(nDeriv)
+	c.hWalk.Observe(int64(walkTime))
+	pause := c.Tel.Now() - telStart
+	if c.Mode == ModeFull {
+		if st.Mark > 0 {
+			c.hMark.Observe(int64(st.Mark))
+		}
+		c.hAssign.Observe(int64(st.Assign))
+		c.hCopy.Observe(int64(st.Copy))
+		c.hFixup.Observe(int64(st.Fixup))
+		c.hFinal.Observe(pause)
+	}
+	c.hPause.Observe(pause)
+	c.gAllocBytes.Set(c.Heap.AllocatedBytes())
+	c.gLiveBytes.Set(c.Heap.LiveBytes())
+	c.gLiveObjects.Set(c.Heap.LiveObjects)
+	c.gCollections.Set(c.Heap.Collections)
 }

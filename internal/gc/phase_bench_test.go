@@ -103,7 +103,7 @@ func BenchmarkAssignPhase(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		plan := assignPhase([][]int64{w.sp.Marks.AppendMarked(nil)}, w.sp)
+		plan := assignPhase(w.sp.Marks.AppendMarked(nil), w.sp)
 		if len(plan.from) != benchObjs {
 			b.Fatalf("planned %d objects, want %d", len(plan.from), benchObjs)
 		}
@@ -119,7 +119,7 @@ func BenchmarkCopyPhase(b *testing.B) {
 	if _, _, err := markPhase([]*int64{&w.root}, w.sp, 8); err != nil {
 		b.Fatal(err)
 	}
-	plan := assignPhase([][]int64{w.sp.Marks.AppendMarked(nil)}, w.sp)
+	plan := assignPhase(w.sp.Marks.AppendMarked(nil), w.sp)
 	headers := make([]int64, len(plan.from))
 	for i, a := range plan.from {
 		headers[i] = w.sp.Mem[a]

@@ -30,9 +30,9 @@
 //
 // Because placement is canonical, a collection at any worker count —
 // including 1 — produces an identical heap image, identical forwarding
-// decisions, and identical survivor counts. The full collector (gc.go)
-// and both generational collections (gengc) are built on this one
-// engine.
+// decisions, and identical survivor counts. The full collector (gc.go),
+// both generational collections (gengc) and the concurrent cycle's
+// bursts and final copy (concurrent.go) are built on this one engine.
 package gc
 
 import (
@@ -116,36 +116,19 @@ type TraceStats struct {
 // goroutine. The resulting heap image is bitwise identical at any
 // width.
 func TraceCopy(roots []*int64, sp CopySpace, workers int) (TraceStats, error) {
-	var st TraceStats
-	if workers <= 0 {
-		workers = DefaultTraceWorkers
-	}
-	if workers < 1 {
-		workers = 1
-	}
-
+	workers = traceWidth(workers)
 	if sp.Marks == nil {
 		sp.Marks = heap.NewMarkSet(sp.SpanLo, sp.SpanHi)
 	}
 
 	t0 := time.Now()
 	n, steals, err := markPhase(roots, sp, workers)
-	st.Mark = time.Since(t0)
-	st.Steals = steals
+	mark := time.Since(t0)
 	if err != nil {
-		return st, err
+		return TraceStats{Mark: mark, Steals: steals}, err
 	}
-
-	// The claim bitmap holds exactly the marked set, and reading it
-	// back in address order is the sort assign would otherwise do, at
-	// the cost per span word that clearing the bitmap already pays.
-	t0 = time.Now()
-	marked := sp.Marks.AppendMarked(make([]int64, 0, n))
-	enum := time.Since(t0)
-
-	fin, err := FinishCopy([][]int64{marked}, roots, sp, workers)
-	st.Objects, st.Words, st.Next = fin.Objects, fin.Words, fin.Next
-	st.Assign, st.Copy, st.Fixup = enum+fin.Assign, fin.Copy, fin.Fixup
+	st, err := finishCopy(roots, sp, workers, n)
+	st.Mark, st.Steals = mark, steals
 	return st, err
 }
 
@@ -155,32 +138,32 @@ func TraceCopy(roots []*int64, sp CopySpace, workers int) (TraceStats, error) {
 // of times. Only Objects, Mark and Steals are set in the returned
 // stats.
 func MarkOnly(roots []*int64, sp CopySpace, workers int) (TraceStats, error) {
-	if workers <= 0 {
-		workers = DefaultTraceWorkers
-	}
 	t0 := time.Now()
-	n, steals, err := markPhase(roots, sp, workers)
+	n, steals, err := markPhase(roots, sp, traceWidth(workers))
 	return TraceStats{Objects: n, Mark: time.Since(t0), Steals: steals}, err
 }
 
-// FinishCopy runs the deterministic tail of a collection — assign,
-// copy, fixup — over an already-computed marked set. TraceCopy calls it
-// after its own mark phase; the concurrent collectors call it directly
-// at the final pause, with markedLists accumulated incrementally while
-// mutators ran. The marked lists may be in any order and split across
-// any number of sublists: assignPhase sorts them, so the layout depends
-// only on the set. Mark/Steals in the returned stats are zero.
-func FinishCopy(markedLists [][]int64, roots []*int64, sp CopySpace, workers int) (TraceStats, error) {
-	var st TraceStats
+// traceWidth resolves a requested worker count: <= 0 means
+// DefaultTraceWorkers, and the result is at least 1.
+func traceWidth(workers int) int {
 	if workers <= 0 {
 		workers = DefaultTraceWorkers
 	}
-	if workers < 1 {
-		workers = 1
-	}
+	return max(workers, 1)
+}
 
+// finishCopy runs the deterministic tail of a collection — assign,
+// copy, fixup — over the objects claimed in sp.Marks. TraceCopy calls
+// it after its own mark phase, and MarkCycle.Finish once a concurrent
+// mark's bursts have run out of work. The claim bitmap holds exactly
+// the marked set, and reading it back in address order is the sort
+// assign would otherwise do, at the cost per span word that clearing
+// the bitmap already pays. n, the number of claimed objects, sizes the
+// list. Mark/Steals in the returned stats are zero.
+func finishCopy(roots []*int64, sp CopySpace, workers int, n int64) (TraceStats, error) {
+	var st TraceStats
 	t0 := time.Now()
-	plan := assignPhase(markedLists, sp)
+	plan := assignPhase(sp.Marks.AppendMarked(make([]int64, 0, n)), sp)
 	st.Assign = time.Since(t0)
 	st.Objects = int64(len(plan.from))
 	st.Words = plan.total
@@ -247,27 +230,17 @@ type copyPlan struct {
 	total int64
 }
 
-// assignPhase merges the per-worker marked lists, sorts them into
-// allocation (ascending address) order, and lays survivors out
-// contiguously from ToBase by prefix sums of their sizes. This is the
-// determinism keystone: the layout depends only on the marked set.
-func assignPhase(markedLists [][]int64, sp CopySpace) copyPlan {
-	n := 0
-	for _, l := range markedLists {
-		n += len(l)
-	}
+// assignPhase lays the marked objects, given in ascending (=
+// allocation) address order, out contiguously from ToBase by prefix
+// sums of their sizes. This is the determinism keystone: the layout
+// depends only on the marked set.
+func assignPhase(marked []int64, sp CopySpace) copyPlan {
 	plan := copyPlan{
-		from: make([]int64, 0, n),
-		size: make([]int64, n),
-		to:   make([]int64, n),
+		from: marked,
+		size: make([]int64, len(marked)),
+		to:   make([]int64, len(marked)),
 	}
-	for _, l := range markedLists {
-		plan.from = append(plan.from, l...)
-	}
-	if !slices.IsSorted(plan.from) {
-		slices.Sort(plan.from)
-	}
-	for i, a := range plan.from {
+	for i, a := range marked {
 		s := sp.SizeOf(a)
 		plan.size[i] = s
 		plan.to[i] = sp.ToBase + plan.total
@@ -509,20 +482,11 @@ func (e *markEngine) fork(workers int) {
 	}
 }
 
-// markPhase claims the live set in sp.Marks (already Reset) and
-// returns how many objects it claimed. The root values are claimed
-// serially (so a bad root is reported deterministically), then the
-// caller marks alone on its own goroutine. Only if its gray stack
-// outgrows forkGray — a live set wide enough to pay for parallelism —
-// does it start the other workers, which then share work through the
-// pool until none is left anywhere.
-func markPhase(roots []*int64, sp CopySpace, workers int) (marked, steals int64, err error) {
-	// Workers beyond the scheduler's width could never run at once;
-	// they would only add hand-offs.
-	workers = min(workers, runtime.GOMAXPROCS(0))
-	e := &markEngine{sp: sp}
-	lead := &markWorker{e: e}
-	e.workers = []*markWorker{lead}
+// claimRoots claims the from-space objects the root slots reference
+// and returns them as the initial gray set. Roots are claimed serially,
+// so a bad root is reported deterministically.
+func claimRoots(roots []*int64, sp CopySpace) ([]int64, error) {
+	var gray []int64
 	for _, p := range roots {
 		v := *p
 		if v == 0 {
@@ -530,14 +494,34 @@ func markPhase(roots []*int64, sp CopySpace, workers int) (marked, steals int64,
 		}
 		if sp.Check != nil {
 			if err := sp.Check(v); err != nil {
-				return 0, 0, err
+				return nil, err
 			}
 		}
 		if sp.InFrom(v) && sp.Marks.Claim(v) {
-			lead.gray = append(lead.gray, v)
-			lead.marked++
+			gray = append(gray, v)
 		}
 	}
+	return gray, nil
+}
+
+// markPhase claims the live set in sp.Marks (already Reset) and
+// returns how many objects it claimed. The root values are claimed
+// first (claimRoots), then the caller marks alone on its own
+// goroutine. Only if its gray stack outgrows forkGray — a live set
+// wide enough to pay for parallelism — does it start the other
+// workers, which then share work through the pool until none is left
+// anywhere.
+func markPhase(roots []*int64, sp CopySpace, workers int) (marked, steals int64, err error) {
+	gray, err := claimRoots(roots, sp)
+	if err != nil {
+		return 0, 0, err
+	}
+	// Workers beyond the scheduler's width could never run at once;
+	// they would only add hand-offs.
+	workers = min(workers, runtime.GOMAXPROCS(0))
+	e := &markEngine{sp: sp}
+	lead := &markWorker{e: e, gray: gray, marked: int64(len(gray))}
+	e.workers = []*markWorker{lead}
 
 	lead.drain(workers)
 	for len(e.workers) > 1 {

@@ -3,7 +3,7 @@ package gengc_test
 // Tests for mostly-concurrent major collections: a multi-threaded soak
 // that drives escalations through the scheduler's split protocol
 // (initial pause / mark bursts / final pause), and a single-threaded
-// equivalence check that the direct collectSplit path is
+// equivalence check that the direct-Collect path (gc.RunCycle) is
 // indistinguishable from the stop-the-world major.
 
 import (

@@ -232,7 +232,7 @@ type Collector struct {
 	marks *heap.MarkSet
 
 	// cyc is the in-flight concurrent major cycle, nil outside one.
-	cyc *concCycle
+	cyc *gc.MarkCycle
 
 	// Statistics.
 	Minor          int64
@@ -351,118 +351,148 @@ func (c *Collector) Barrier(slot, val int64) {
 // promotes every young survivor, so the set is cleared afterwards.
 func (c *Collector) RemsetSize() int { return len(c.remset) }
 
-// Collect implements vmachine.Collector: a minor collection, escalating
-// to a major one when the old space cannot absorb the survivors. With
-// Concurrent set, an escalation called directly runs the whole split
-// major cycle back-to-back (collectSplit); the multi-threaded scheduler
-// drives the split phases itself through the ConcurrentCollector
-// protocol and never reaches this path for them.
+// Collect implements vmachine.Collector: a minor collection,
+// escalating to a major one when the old space cannot absorb the
+// survivors. With Concurrent set, an escalation called directly runs a
+// whole concurrent major back-to-back (gc.RunCycle), or finishes the
+// one in flight; the multi-threaded scheduler drives the split phases
+// itself through the ConcurrentCollector protocol and never reaches
+// this path for them.
 func (c *Collector) Collect(m *vmachine.Machine) error {
-	if c.cyc != nil {
-		return c.finishActive(m)
-	}
-	if c.ShouldStartCycle() {
-		return c.collectSplit(m)
+	if c.cyc != nil || c.ShouldStartCycle() {
+		return gc.RunCycle(c, m, c.cyc == nil)
 	}
 	start := time.Now()
 	defer func() { c.TotalTime += time.Since(start) }()
-
-	if len(c.remset) > c.RemsetPeak {
-		c.RemsetPeak = len(c.remset)
-	}
-
 	h := c.Heap
-	// A minor collection promotes every young survivor; ensure the old
-	// space can absorb the whole nursery, else go major first. A failed
-	// direct old-space allocation also escalates. (Decided before the
-	// stack walk: the escalation test only reads allocation state.)
-	escalate := h.pendingOld || h.oldFrom+h.oldSemi-h.oldAlloc < h.nurseryAlloc-h.Lo
-
-	var tid int32 = -1
-	if m.Cur != nil {
-		tid = int32(m.Cur.ID)
+	// Decided before the stack walk: the escalation test only reads
+	// allocation state.
+	major := h.mustEscalate()
+	kind := telemetry.GCMinor
+	if major {
+		kind = telemetry.GCMajor
 	}
-	var telStart int64
-	if c.Tel != nil {
-		telStart = c.Tel.Now()
-		kind := telemetry.GCMinor
-		if escalate {
-			kind = telemetry.GCMajor
-		}
-		c.gRemset.Set(int64(len(c.remset)))
-		c.Tel.Emit(telemetry.EvGCBegin, tid, kind,
-			h.LiveBytes(), h.AllocatedBytes(), c.Minor+c.Major)
-	}
-
-	traceStart := time.Now()
-	frames, err := gc.WalkMachineN(m, c.Dec, c.WalkWorkers)
+	telStart := c.begin(m, kind)
+	frames, walkTime, err := c.walk(m, true)
 	if err != nil {
 		return err
 	}
-	if err := gc.AdjustDerivedN(m, frames, c.TraceWorkers); err != nil {
+	roots := c.rootsWithRemset(m, frames)
+	var st gc.TraceStats
+	if major {
+		h.pendingOld = false
+		sp := c.majorSpace(h.oldAlloc)
+		if c.Debug {
+			sp.Check = func(v int64) error {
+				if !h.Contains(v) {
+					return fmt.Errorf("gengc: root %d outside the heap", v)
+				}
+				return nil
+			}
+		}
+		if st, err = gc.TraceCopy(roots, sp, c.TraceWorkers); err != nil {
+			return err
+		}
+		c.flipMajor(st)
+	} else if st, err = c.minor(roots); err != nil {
 		return err
 	}
-	walkTime := time.Since(traceStart)
-	c.StackTraceTime += walkTime
+	gc.RederiveAllN(m, frames, c.TraceWorkers)
+	c.end(m, telStart, frames, walkTime, st, major)
+	return nil
+}
 
-	promotedBefore, copiedBefore := c.PromotedWords, c.MajorCopied
-	var st gc.TraceStats
-	if escalate {
-		h.pendingOld = false
-		if st, err = c.major(m, frames); err != nil {
-			return err
-		}
-	} else {
-		if st, err = c.minor(m, frames); err != nil {
-			return err
+// mustEscalate reports whether the next collection must be a major
+// one: a minor collection promotes every young survivor, so the old
+// space must be able to absorb the whole nursery, and a failed direct
+// old-space allocation escalates too.
+func (h *Heap) mustEscalate() bool {
+	return h.pendingOld || h.oldFrom+h.oldSemi-h.oldAlloc < h.nurseryAlloc-h.Lo
+}
+
+// begin notes the remembered set's peak, emits a collection's begin
+// event and returns its telemetry start time (0 without telemetry).
+func (c *Collector) begin(m *vmachine.Machine, kind int64) int64 {
+	if len(c.remset) > c.RemsetPeak {
+		c.RemsetPeak = len(c.remset)
+	}
+	if c.Tel == nil {
+		return 0
+	}
+	t := c.Tel.Now()
+	h := c.Heap
+	c.gRemset.Set(int64(len(c.remset)))
+	c.Tel.Emit(telemetry.EvGCBegin, gc.CurThread(m), kind, h.LiveBytes(), h.AllocatedBytes(), c.Minor+c.Major)
+	return t
+}
+
+// walk walks every thread's stack and, when adjust is set, runs phase
+// 1 of the derived-value protocol (the concurrent initial pause only
+// reads the roots). It returns the frames and the time both took.
+func (c *Collector) walk(m *vmachine.Machine, adjust bool) ([]*gc.Frame, time.Duration, error) {
+	t0 := time.Now()
+	frames, err := gc.WalkMachineN(m, c.Dec, c.WalkWorkers)
+	if err != nil {
+		return nil, 0, err
+	}
+	if adjust {
+		if err := gc.AdjustDerivedN(m, frames, c.TraceWorkers); err != nil {
+			return nil, 0, err
 		}
 	}
+	d := time.Since(t0)
+	c.StackTraceTime += d
+	return frames, d, nil
+}
+
+// end folds a collection's engine stats into the collector's and emits
+// its closing events and metrics. A stop-the-world collection's "final
+// pause" is its whole pause (see telemetry.HistGCFinalPauseNs). A
+// concurrent final pause marks nothing (its bursts ran before it,
+// Mark 0) and adds no mark-time sample.
+func (c *Collector) end(m *vmachine.Machine, telStart int64, frames []*gc.Frame, walkTime time.Duration, st gc.TraceStats, major bool) {
 	c.ObjectsCopied += st.Objects
 	c.Steals += st.Steals
 	c.MarkTime += st.Mark
 	c.AssignTime += st.Assign
 	c.CopyTime += st.Copy
 	c.FixupTime += st.Fixup
-
-	gc.RederiveAllN(m, frames, c.TraceWorkers)
-
-	if c.Tel != nil {
-		var nDeriv int64
-		for _, f := range frames {
-			nDeriv += int64(len(f.View.Derivs))
-		}
-		movedBytes := (c.PromotedWords - promotedBefore + c.MajorCopied - copiedBefore) * heap.WordBytes
-		c.Tel.Emit(telemetry.EvStackWalk, tid, int64(walkTime), int64(len(frames)), 0, 0)
-		c.Tel.Emit(telemetry.EvGCEnd, tid, movedBytes, int64(len(frames)), nDeriv, nDeriv)
-		c.mCollections.Add(1)
-		if escalate {
-			c.mMajor.Add(1)
-		} else {
-			c.mMinor.Add(1)
-			c.mPromoted.Add(movedBytes)
-		}
-		c.mFrames.Add(int64(len(frames)))
-		c.mCopied.Add(movedBytes)
-		c.mObjects.Add(st.Objects)
-		c.mSteals.Add(st.Steals)
-		c.mAdjusted.Add(nDeriv)
-		c.mRederived.Add(nDeriv)
-		c.hWalk.Observe(int64(walkTime))
-		c.hMark.Observe(int64(st.Mark))
-		c.hAssign.Observe(int64(st.Assign))
-		c.hCopy.Observe(int64(st.Copy))
-		c.hFixup.Observe(int64(st.Fixup))
-		pause := c.Tel.Now() - telStart
-		c.hPause.Observe(pause)
-		// A stop-the-world collection's "final pause" is its whole
-		// pause (see telemetry.HistGCFinalPauseNs).
-		c.hFinal.Observe(pause)
-		c.gAllocBytes.Set(h.AllocatedBytes())
-		c.gLiveBytes.Set(h.LiveBytes())
-		c.gBarChecks.Set(c.BarrierChecks)
-		c.gBarHits.Set(c.BarrierHits)
+	if c.Tel == nil {
+		return
 	}
-	return nil
+	h := c.Heap
+	tid := gc.CurThread(m)
+	nDeriv := gc.CountDerivs(frames)
+	movedBytes := st.Words * heap.WordBytes
+	c.Tel.Emit(telemetry.EvStackWalk, tid, int64(walkTime), int64(len(frames)), 0, 0)
+	c.Tel.Emit(telemetry.EvGCEnd, tid, movedBytes, int64(len(frames)), nDeriv, nDeriv)
+	c.mCollections.Add(1)
+	if major {
+		c.mMajor.Add(1)
+	} else {
+		c.mMinor.Add(1)
+		c.mPromoted.Add(movedBytes)
+	}
+	c.mFrames.Add(int64(len(frames)))
+	c.mCopied.Add(movedBytes)
+	c.mObjects.Add(st.Objects)
+	c.mSteals.Add(st.Steals)
+	c.mAdjusted.Add(nDeriv)
+	c.mRederived.Add(nDeriv)
+	c.hWalk.Observe(int64(walkTime))
+	if st.Mark > 0 {
+		c.hMark.Observe(int64(st.Mark))
+	}
+	c.hAssign.Observe(int64(st.Assign))
+	c.hCopy.Observe(int64(st.Copy))
+	c.hFixup.Observe(int64(st.Fixup))
+	pause := c.Tel.Now() - telStart
+	c.hPause.Observe(pause)
+	c.hFinal.Observe(pause)
+	c.gAllocBytes.Set(h.AllocatedBytes())
+	c.gLiveBytes.Set(h.LiveBytes())
+	c.gBarChecks.Set(c.BarrierChecks)
+	c.gBarHits.Set(c.BarrierHits)
 }
 
 // rootsWithRemset is the minor collection's root list: the precise
@@ -499,7 +529,7 @@ func (c *Collector) resetMarks(lo, hi int64) *heap.MarkSet {
 // references are covered by the remembered set (the store-barrier
 // invariant), and every pointer into the nursery — remembered slot,
 // stack root, or a field of a promoted copy — is forwarded in fixup.
-func (c *Collector) minor(m *vmachine.Machine, frames []*gc.Frame) (gc.TraceStats, error) {
+func (c *Collector) minor(roots []*int64) (gc.TraceStats, error) {
 	c.Minor++
 	h := c.Heap
 	sp := gc.CopySpace{
@@ -514,7 +544,7 @@ func (c *Collector) minor(m *vmachine.Machine, frames []*gc.Frame) (gc.TraceStat
 		ToLimit:    h.oldFrom + h.oldSemi,
 		Marks:      c.resetMarks(h.Lo, h.nurseryAlloc),
 	}
-	st, err := gc.TraceCopy(c.rootsWithRemset(m, frames), sp, c.TraceWorkers)
+	st, err := gc.TraceCopy(roots, sp, c.TraceWorkers)
 	if err != nil {
 		return st, err
 	}
@@ -527,43 +557,34 @@ func (c *Collector) minor(m *vmachine.Machine, frames []*gc.Frame) (gc.TraceStat
 	return st, nil
 }
 
-// major copies everything live (young and old) into the other old
-// semispace, again with canonical placement: survivors land in
-// ascending from-address order (nursery objects first, then the old
-// space in its allocation order).
-func (c *Collector) major(m *vmachine.Machine, frames []*gc.Frame) (gc.TraceStats, error) {
-	c.Major++
+// majorSpace describes a major collection to the trace engine: nursery
+// and old space together, copied into the other old semispace with
+// canonical placement — survivors land in ascending from-address order
+// (nursery objects first, then the old space in its allocation order).
+// The mark bitmap covers [Lo, hi).
+func (c *Collector) majorSpace(hi int64) gc.CopySpace {
 	h := c.Heap
-	inFrom := func(v int64) bool {
-		return h.InNursery(v) || (v >= h.oldFrom && v < h.oldAlloc)
-	}
-	sp := gc.CopySpace{
+	return gc.CopySpace{
 		Mem:        h.Mem,
 		SpanLo:     h.Lo,
-		SpanHi:     h.oldAlloc,
-		InFrom:     inFrom,
+		SpanHi:     hi,
+		InFrom:     h.Contains,
 		SizeOf:     h.SizeOf,
 		PtrOffsets: h.PointerOffsets,
 		Copy:       h.copyObjectSized,
 		ToBase:     h.oldTo,
 		ToLimit:    h.oldTo + h.oldSemi,
-		Marks:      c.resetMarks(h.Lo, h.oldAlloc),
+		Marks:      c.resetMarks(h.Lo, hi),
 	}
-	if c.Debug {
-		sp.Check = func(v int64) error {
-			if !inFrom(v) {
-				return fmt.Errorf("gengc: root %d outside the heap", v)
-			}
-			return nil
-		}
-	}
-	st, err := gc.TraceCopy(c.rootsWithRemset(m, frames), sp, c.TraceWorkers)
-	if err != nil {
-		return st, err
-	}
+}
+
+// flipMajor counts a finished major copy and makes its target the old
+// space, with the nursery reset.
+func (c *Collector) flipMajor(st gc.TraceStats) {
+	c.Major++
 	c.MajorCopied += st.Words
-	h.flipOld(st.Next)
-	h.resetNursery()
+	c.Heap.flipOld(st.Next)
+	c.Heap.resetNursery()
 	// The remembered set held old-FROM-space slot addresses, all of
 	// which just moved; stale entries must not survive the compaction.
 	// Clearing (rather than relocating) them is sound for the same
@@ -572,7 +593,6 @@ func (c *Collector) major(m *vmachine.Machine, frames []*gc.Frame) (gc.TraceStat
 	// scratch by the store barrier. The minor→major→minor regression
 	// test pins this.
 	c.remset = make(map[int64]bool)
-	return st, nil
 }
 
 // LiveOldWords reports the words in use in the old space.

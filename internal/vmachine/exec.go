@@ -608,25 +608,6 @@ func (m *Machine) run(maxSteps, fuel int64) (bool, error) {
 			}
 			continue
 		}
-		if !m.GCRequested && !m.syncGC {
-			// Proactive cycle start: when the collector's trigger fires
-			// (typically a heap-occupancy threshold), request a rendezvous
-			// now so marking runs while allocation headroom remains.
-			// Occupancy at a pass boundary is deterministic, so the
-			// trigger schedule is too.
-			if cc := m.concCollector(); cc != nil && cc.ShouldStartCycle() {
-				if tr, ok := m.Collector.(CycleTrigger); ok && tr.ShouldTriggerCycle() && len(m.runnable()) > 1 {
-					// No requester thread: the rendezvous park exemption
-					// (`t != m.Requester`) assumes the requester is already
-					// parked at a gc-point, which no running thread is. With
-					// a nil requester every thread parks at its next poll.
-					m.GCRequested = true
-					if m.Tel != nil {
-						m.gcRequestNs = m.Tel.Now()
-					}
-				}
-			}
-		}
 		if m.GCRequested && m.allParked() {
 			if m.Tel != nil {
 				m.emitRendezvous()
@@ -677,11 +658,7 @@ func (m *Machine) emitRendezvous() {
 			parked++
 		}
 	}
-	tid := int32(-1) // proactively triggered cycles have no requester
-	if m.Requester != nil {
-		tid = int32(m.Requester.ID)
-	}
-	m.Tel.Emit(telemetry.EvRendezvous, tid,
+	m.Tel.Emit(telemetry.EvRendezvous, int32(m.Requester.ID),
 		m.Tel.Now()-m.gcRequestNs, parked, 0, 0)
 }
 

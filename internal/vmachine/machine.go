@@ -157,23 +157,10 @@ type ConcurrentCollector interface {
 	// MarkStep performs one bounded mark increment, returning done
 	// when no gray objects remain (including barrier-logged ones).
 	MarkStep(m *Machine) (done bool, err error)
-	// FinishCycle completes the cycle at a safepoint: drains any
-	// remaining mark work, copies survivors, patches roots, and
-	// disarms the hooks.
+	// FinishCycle completes the cycle at a safepoint once MarkStep has
+	// reported done (CompleteCycle runs both): copies survivors,
+	// patches roots, and disarms the hooks.
 	FinishCycle(m *Machine) error
-}
-
-// CycleTrigger is an optional ConcurrentCollector extension. The
-// scheduler polls it at pass boundaries on multi-threaded machines and
-// starts a cycle proactively when it reports true — before any
-// allocation fails. A cycle that instead waits for exhaustion begins
-// with no allocation runway: mutators park on failed allocations almost
-// immediately and the final pause inherits most of the mark backlog.
-// Single-threaded machines never poll (a proactive cycle would just run
-// back-to-back anyway), which keeps their collection schedule — and the
-// difftest matrix — identical to a stop-the-world collector's.
-type CycleTrigger interface {
-	ShouldTriggerCycle() bool
 }
 
 // Thread is one execution context.
@@ -536,9 +523,25 @@ func (m *Machine) collectNow() error {
 	return m.Collector.Collect(m)
 }
 
-// finishConcCycle drains remaining mark work and runs the final pause
-// of the active concurrent cycle, then clears the cycle state. The
-// caller counts the collection.
+// CompleteCycle ends cc's cycle at a safepoint: it runs mark bursts
+// until marking is complete, then the final pause. The bursts are
+// serial MarkSteps, timed and counted as mark bursts rather than as
+// part of FinishCycle, which only walks, checks and copies; mutators
+// stay stopped across both.
+func CompleteCycle(cc ConcurrentCollector, m *Machine) error {
+	for {
+		done, err := cc.MarkStep(m)
+		if err != nil {
+			return err
+		}
+		if done {
+			return cc.FinishCycle(m)
+		}
+	}
+}
+
+// finishConcCycle finishes the active concurrent cycle (CompleteCycle),
+// then clears the cycle state. The caller counts the collection.
 func (m *Machine) finishConcCycle() error {
 	cc := m.concCollector()
 	if cc == nil {
@@ -546,16 +549,7 @@ func (m *Machine) finishConcCycle() error {
 		m.concRequester = nil
 		return fmt.Errorf("vmachine: concurrent cycle active without a concurrent collector")
 	}
-	for {
-		done, err := cc.MarkStep(m)
-		if err != nil {
-			return err
-		}
-		if done {
-			break
-		}
-	}
-	err := cc.FinishCycle(m)
+	err := CompleteCycle(cc, m)
 	m.concActive = false
 	m.concRequester = nil
 	if err == nil {
